@@ -16,9 +16,7 @@ it does for single-core inference (``results``) and the parallel layer
   swap (rolling/drift state reset included), reported as swaps per second
   (plus ``swap_stall_s``);
 * ``coordinated_swap[thread,w=N]`` — swapping every shard service of a
-  thread-mode :class:`ShardedDetectionService` at a round boundary;
-* ``coordinated_swap[process,w=N]`` — the process-mode equivalent: publishing
-  the new epoch's snapshot the worker processes will load.
+  :class:`ShardedDetectionService` at a round boundary.
 
 A second, separately trend-checked ``"shadow"`` section records what shadow
 evaluation (:mod:`repro.serve.lifecycle.shadow`) costs while a trial runs —
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -51,7 +48,6 @@ from repro.novelty import IsolationForest
 from repro.serve.lifecycle import FullRefit, ShadowEvaluator, WindowBuffer
 from repro.serve.parallel import ShardedDetectionService
 from repro.serve.service import DetectionService
-from repro.serve.snapshot import save_snapshot
 from repro.utils.timing import Timer
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_inference.json"
@@ -130,19 +126,6 @@ def run_bench(
     results[f"coordinated_swap[thread,w={n_workers}]"] = {
         "samples_per_sec": 1.0 / thread_swap_s,
         "swap_stall_s": thread_swap_s,
-    }
-
-    with tempfile.TemporaryDirectory(prefix="repro-lifecycle-bench-") as tmp:
-        epoch = [0]
-
-        def _publish_epoch_snapshot() -> None:
-            epoch[0] += 1
-            save_snapshot(candidate, Path(tmp) / f"model_e{epoch[0]}")
-
-        process_swap_s = _best_time(_publish_epoch_snapshot, n_repeats)
-    results[f"coordinated_swap[process,w={n_workers}]"] = {
-        "samples_per_sec": 1.0 / process_swap_s,
-        "swap_stall_s": process_swap_s,
     }
 
     return {

@@ -18,8 +18,8 @@ The deployment story of the paper, end to end:
    version and hot-swaps it in — every decision lands in the registry's
    ``history.jsonl`` lineage,
 4. with ``--workers N`` (N > 1), serve the same stream through a
-   **ShardedDetectionService** instead: batches fan out to N workers, alerts
-   and drift events re-merge in global stream order, per-shard drift
+   **ShardedDetectionService** instead: batches fan out to N worker threads,
+   alerts and drift events re-merge in global stream order, per-shard drift
    monitors *vote*, and on quorum the parent refits once and swaps every
    worker at a round boundary (each batch is tagged with the model epoch
    that scored it).
@@ -56,7 +56,7 @@ from repro.serve import (
 
 
 def make_drift_monitor() -> DriftMonitor:
-    """Per-shard monitor factory (module-level so process workers can pickle it)."""
+    """Per-shard monitor factory: one fresh monitor per worker."""
     return DriftMonitor(window=1024, threshold=0.5, min_samples=512)
 
 
@@ -168,7 +168,7 @@ def main() -> None:
     if args.workers > 1:
         print(
             f"\nserving {stream.n_batches} batches of {args.batch_size} flows "
-            f"across {args.workers} {service.resolved_mode()} workers "
+            f"across {args.workers} thread workers "
             f"(drift strength {args.drift_strength}, swap quorum 50%) ...\n"
         )
     else:

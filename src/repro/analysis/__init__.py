@@ -1,7 +1,7 @@
 """reprolint: AST-based machine-checks for the serving stack's contracts.
 
 The serving layer's correctness rests on conventions — bit-identical
-sequential/thread/process runs, pickle-free seeded snapshots, every
+sequential/thread runs, pickle-free seeded snapshots, every
 degradation an auditable sink event, every pipeline stage traced — that no
 type checker sees.  This package encodes each convention as a small
 stdlib-``ast`` rule (``RL001``–``RL012``, see :mod:`repro.analysis.rules`),

@@ -1,7 +1,7 @@
 """RL005 — exception hygiene: no silent swallowing, ever; serve paths react.
 
-Fault tolerance in this stack is *explicit*: a worker crash becomes a
-``WorkerRestart`` event, a failing sink becomes ``SinkDisabled``, a torn
+Fault tolerance in this stack is *explicit*: a poison row becomes a
+``QuarantinedRows`` event, a failing sink becomes ``SinkDisabled``, a torn
 registry version is quarantined with a ``RegistryRecovery`` record.  A
 handler that silently eats an exception deletes that audit trail.  Three
 checks, strictest first:

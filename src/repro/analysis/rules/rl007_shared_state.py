@@ -1,18 +1,19 @@
 """RL007 — shared-state discipline: pool-submitted code must not mutate self.
 
-``ShardedDetectionService`` keeps results bit-identical across thread and
-process modes by construction: everything submitted to a worker pool is a
-pure function of its arguments (a staticmethod or module-level function),
+``ShardedDetectionService`` keeps thread-sharded results bit-identical to the
+sequential service by construction: everything submitted to a worker pool is
+a pure function of its arguments (a staticmethod or module-level function),
 and all shared-state mutation happens in parent-only round-boundary code
-(merge, swap coordination, supervision).  This rule pins the submit side of
+(merge, swap coordination).  This rule pins the submit side of
 that contract inside any ``parallel.py`` under ``repro/serve/``:
 
 - for every ``<pool>.submit(target, ...)`` call, the ``target`` is resolved
   within the module (``self._method`` / ``Class._method`` -> the method
   def, a bare name -> the module-level function def);
-- a resolved target whose body assigns to ``self.<attr>`` (or declares
-  ``global``) is flagged: worker code would be mutating state the parent
-  and sibling workers share in thread mode.
+- a resolved target whose body assigns to ``self.<attr>`` or declares
+  ``global`` is flagged, whether it is a method or a module-level function:
+  pool workers are threads, so worker code would be mutating state the
+  parent and sibling workers share.
 
 Documented false-negative contract: only *direct* submit targets are
 analyzed — callees of the target (e.g. the shard-local service methods it
@@ -34,23 +35,16 @@ from repro.analysis.rules.base import Rule, in_serve_package
 __all__ = ["SharedStateRule"]
 
 
-def _function_index(
-    tree: ast.Module,
-) -> dict[str, tuple[ast.FunctionDef, bool]]:
-    """Callable name -> (def node, is_class_level).
-
-    Class-level targets run in *thread* pools here (shared module globals
-    and a shared ``self``), module-level targets in *process* pools (copied
-    globals) — which is why the two get different mutation checks.
-    """
-    index: dict[str, tuple[ast.FunctionDef, bool]] = {}
+def _function_index(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """Callable name -> def node, for module-level functions and methods."""
+    index: dict[str, ast.FunctionDef] = {}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            index.setdefault(node.name, (node, False))
+            index.setdefault(node.name, node)
         elif isinstance(node, ast.ClassDef):
             for stmt in node.body:
                 if isinstance(stmt, ast.FunctionDef):
-                    index.setdefault(stmt.name, (stmt, True))
+                    index.setdefault(stmt.name, stmt)
     return index
 
 
@@ -71,9 +65,7 @@ def _submit_targets(tree: ast.Module) -> list[tuple[str, int]]:
     return targets
 
 
-def _shared_mutations(
-    func: ast.FunctionDef, *, class_level: bool
-) -> list[tuple[str, int]]:
+def _shared_mutations(func: ast.FunctionDef) -> list[tuple[str, int]]:
     mutations: list[tuple[str, int]] = []
     for node in ast.walk(func):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -85,11 +77,7 @@ def _shared_mutations(
                     and target.value.id == "self"
                 ):
                     mutations.append((f"self.{target.attr}", target.lineno))
-        elif isinstance(node, ast.Global) and class_level:
-            # Module-level submit targets run in worker *processes* with
-            # copied globals, so `global` there is process-local caching
-            # (the _WORKER_MODEL idiom); in a thread-submitted method the
-            # same statement would be a shared-state race.
+        elif isinstance(node, ast.Global):
             mutations.append((f"global {', '.join(node.names)}", node.lineno))
     return mutations
 
@@ -98,6 +86,7 @@ class SharedStateRule(Rule):
     rule_id = "RL007"
     title = "Pool-submitted callables never mutate parent-shared state"
     severity = "error"
+    version = 2
     false_negatives = (
         "Only direct submit targets resolvable by name within parallel.py "
         "are analyzed; callee chains, aliased callables, and mutation via "
@@ -116,12 +105,11 @@ class SharedStateRule(Rule):
         findings: list[Finding] = []
         checked: set[str] = set()
         for name, submit_line in _submit_targets(module.tree):
-            entry = index.get(name)
-            if entry is None or name in checked:
+            func = index.get(name)
+            if func is None or name in checked:
                 continue
             checked.add(name)
-            func, class_level = entry
-            for description, lineno in _shared_mutations(func, class_level=class_level):
+            for description, lineno in _shared_mutations(func):
                 findings.append(
                     self.finding(
                         module,

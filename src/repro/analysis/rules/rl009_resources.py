@@ -1,14 +1,13 @@
 """RL009 — resource lifecycle: serve-layer resources are released on all paths.
 
-The serving stack holds real OS resources: executors with worker threads or
-processes, the ``--status-port`` HTTP server, span-trace file handles, and
+The serving stack holds real OS resources: executors with worker threads, the ``--status-port`` HTTP server, span-trace file handles, and
 the registry's ``flock`` writer lock.  A resource acquired on one path and
 leaked on another is exactly the bug class that survives happy-path tests
 and kills a long-lived service (PR 9's ``StatusServer`` and PR 3/6's
 executor teardown are the motivating audits).  For every module under
 ``repro/serve``, an *acquisition* — a call to one of
 
-- ``ThreadPoolExecutor`` / ``ProcessPoolExecutor``,
+- ``ThreadPoolExecutor``,
 - ``ThreadingHTTPServer`` / ``HTTPServer``,
 - ``SpanTracer``,
 - builtin ``open``,
@@ -51,7 +50,6 @@ __all__ = ["ResourceLifecycleRule"]
 _ACQUIRERS = frozenset(
     {
         "ThreadPoolExecutor",
-        "ProcessPoolExecutor",
         "ThreadingHTTPServer",
         "HTTPServer",
         "SpanTracer",
@@ -239,6 +237,7 @@ class ResourceLifecycleRule(Rule):
     rule_id = "RL009"
     title = "Serve-layer resources are released on all paths"
     severity = "error"
+    version = 2
     false_negatives = (
         "Aliasing is not tracked, releases behind helper functions are not "
         "seen, constructors reached through variables are invisible, and an "

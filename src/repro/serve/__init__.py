@@ -17,7 +17,7 @@ fitted detector into something that can be *deployed*:
 * :mod:`repro.serve.fusion` — score-level fusion of several detectors
   (mean / max / conflict-aware PCR-style weighting) served as one model,
 * :mod:`repro.serve.parallel` — :class:`ShardedDetectionService`, fanning a
-  stream out to thread/process workers with deterministic (round-robin or
+  stream out to worker threads with deterministic (round-robin or
   greedy least-loaded) sharding, a global-order merge of alerts and drift
   events, and an epoch-tagged coordinated hot-swap on drift quorum,
 * :mod:`repro.serve.lifecycle` — :class:`LifecycleManager` and friends: the
@@ -26,8 +26,7 @@ fitted detector into something that can be *deployed*:
 * :mod:`repro.serve.sinks` — pluggable alert sinks (in-memory, JSONL,
   callback),
 * :mod:`repro.serve.faults` — the fault-tolerance layer threaded through all
-  of the above: poison-row quarantine, supervised worker restarts, resilient
-  sinks, retrying I/O, crash-safe registry recovery events, and the
+  of the above: poison-row quarantine, resilient sinks, retrying I/O, crash-safe registry recovery events, and the
   deterministic :class:`FaultInjector` chaos harness behind
   ``repro serve --inject-faults``,
 * :mod:`repro.serve.telemetry` — the observability layer over all of the
@@ -47,7 +46,6 @@ from repro.serve.faults import (
     RegistryRecovery,
     ResilientSink,
     SinkDisabled,
-    WorkerRestart,
     call_with_retry,
     emit_resilient,
     wrap_sinks,
@@ -142,7 +140,6 @@ __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "SpanTracer",
     "WindowBuffer",
-    "WorkerRestart",
     "build_report",
     "build_run_summary",
     "call_with_retry",

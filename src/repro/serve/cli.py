@@ -37,8 +37,7 @@ Usage examples::
     # chaos-test the fault tolerance with deterministic injected faults
     # (grammar in repro.serve.faults), and scan/quarantine corrupt versions
     repro serve --dataset wustl_iiot --detector iforest --workers 2 \
-        --worker-mode process \
-        --inject-faults 'worker_crash@every=2;nan_rows@rate=0.05'
+        --inject-faults 'sink_raise@every=1;nan_rows@rate=0.05'
     repro registry recover --registry ./models
 
     # observability: operator logs, per-stage span traces, and an auditable
@@ -51,7 +50,7 @@ Usage examples::
     repro trace ./run/trace.jsonl --view tree --budget batch=100
 
     # live introspection + continuous memory profiling: /metrics (Prometheus),
-    # /health (heartbeat watchdog + degraded flag), /status (JSON summary)
+    # /health (heartbeat watchdog), /status (JSON summary)
     repro serve --dataset wustl_iiot --detector iforest \
         --status-port 9178 --health-deadline 30 --profile-mem
 
@@ -64,7 +63,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import signal
 from pathlib import Path
 
@@ -156,13 +154,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=1,
-        help="shard the stream across this many workers (1 = sequential); "
-        "batches are round-robin assigned and alerts re-merge in stream order",
-    )
-    serve.add_argument(
-        "--worker-mode", choices=["auto", "thread", "process"], default="auto",
-        help="worker backend with --workers > 1 (auto: threads when the "
-        "native kernels are available, processes otherwise)",
+        help="shard the stream across this many worker threads (1 = "
+        "sequential); batches are round-robin assigned and alerts re-merge "
+        "in stream order.  Without the native kernels scoring is GIL-bound "
+        "and threads lose to sequential (21k vs 44k rows/s on 2 cores): "
+        "use --workers 1 there",
     )
     serve.add_argument(
         "--shard-mode", choices=["round_robin", "greedy"], default="round_robin",
@@ -228,14 +224,9 @@ def _parser() -> argparse.ArgumentParser:
         "--alerts", type=Path, default=None, help="write alerts/drift events as JSONL"
     )
     serve.add_argument(
-        "--max-worker-restarts", type=int, default=3,
-        help="with --workers > 1 in process mode: pool respawns allowed "
-        "after dead/hung workers before degrading to in-parent scoring",
-    )
-    serve.add_argument(
         "--inject-faults", default=None, metavar="SPEC",
         help="deterministic chaos testing: inject faults described by SPEC "
-        "(e.g. 'worker_crash@every=1;sink_raise@every=1;nan_rows@rate=0.05'; "
+        "(e.g. 'sink_raise@every=1;nan_rows@rate=0.05'; "
         "see repro.serve.faults for the grammar); never use in production",
     )
     serve.add_argument(
@@ -253,9 +244,9 @@ def _parser() -> argparse.ArgumentParser:
         "--status-port", type=int, default=None, metavar="PORT",
         help="serve a live introspection endpoint on 127.0.0.1:PORT while "
         "the stream runs: /metrics (Prometheus text exposition), /health "
-        "(200/503 from the batch heartbeat watchdog and the degraded-mode "
-        "flag) and /status (JSON: epoch, serving version, worker restarts, "
-        "disabled sinks, open shadow trial); PORT 0 picks a free port",
+        "(200/503 from the batch heartbeat watchdog) and /status (JSON: "
+        "epoch, serving version, disabled sinks, open shadow trial); PORT 0 "
+        "picks a free port",
     )
     serve.add_argument(
         "--health-deadline", type=float, default=30.0, metavar="SECONDS",
@@ -338,8 +329,7 @@ def _split_model_selector(selector: str) -> tuple[str, str | None]:
 
 
 def _make_drift_monitor(ref_scores: np.ndarray, ref_X: np.ndarray) -> DriftMonitor:
-    """Per-shard drift-monitor factory (module-level so process workers can
-    unpickle the ``functools.partial`` built over it)."""
+    """Per-shard drift-monitor factory (bound with ``functools.partial``)."""
     return DriftMonitor().set_reference(ref_scores, ref_X)
 
 
@@ -356,14 +346,7 @@ def _serve_stream(service, stream) -> int:
     returning.
     """
 
-    main_pid = os.getpid()
-
     def _on_sigterm(signum, frame):
-        # Forked process workers inherit this handler; a supervised pool
-        # teardown terminates them with SIGTERM, and raising through their
-        # blocked IPC read would only spray tracebacks.  They die quietly.
-        if os.getpid() != main_pid:
-            os._exit(143)
         raise _Terminated()
 
     previous = None
@@ -720,7 +703,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         service: DetectionService | ShardedDetectionService = ShardedDetectionService(
             detector,
             n_workers=args.workers,
-            mode=args.worker_mode,
             shard_mode=args.shard_mode,
             threshold=threshold,
             rolling_quantile=args.rolling_quantile,
@@ -731,27 +713,14 @@ def _run_serve(args: argparse.Namespace) -> int:
             lifecycle=lifecycle,
             quorum=args.quorum,
             sinks=sinks,
-            max_worker_restarts=args.max_worker_restarts,
-            fault_injector=injector,
             tracer=tracer,
             metrics_every=args.metrics_every,
         )
         print(
-            f"sharding across {args.workers} {service.resolved_mode()} workers "
+            f"sharding across {args.workers} thread workers "
             f"({args.shard_mode} batches, global-order merge)"
         )
-        if (
-            injector is not None
-            and injector.targets_workers
-            and service.resolved_mode() != "process"
-        ):
-            print(
-                "note: worker crash/hang faults only fire in process mode "
-                "(add --worker-mode process)"
-            )
     else:
-        if injector is not None and injector.targets_workers:
-            print("note: worker crash/hang faults need --workers > 1 (ignored)")
         monitor = DriftMonitor()
         monitor.set_reference(ref_scores, normal)
 
@@ -788,16 +757,13 @@ def _run_serve(args: argparse.Namespace) -> int:
         def _status_payload() -> dict:
             lifecycle_ = getattr(service, "lifecycle", None)
             return {
-                "mode": (
-                    service.resolved_mode() if args.workers > 1 else "sequential"
-                ),
+                "mode": "thread" if args.workers > 1 else "sequential",
                 "workers": args.workers,
                 "epoch": int(getattr(service, "epoch_", 0)),
                 "serving_version": serving_version,
                 "n_batches": int(getattr(service, "n_batches_", 0)),
                 "n_samples": int(getattr(service, "n_samples_", 0)),
                 "n_alerts": int(getattr(service, "n_alerts_", 0)),
-                "worker_restarts": int(getattr(service, "n_worker_restarts_", 0)),
                 "disabled_sinks": int(getattr(service, "n_disabled_sinks_", 0)),
                 "shadow_trial_open": bool(
                     getattr(lifecycle_, "shadow_pending", False)
@@ -809,7 +775,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             args.status_port,
             snapshot_fn=service.metrics_snapshot,
             status_fn=_status_payload,
-            degraded_fn=lambda: bool(getattr(service, "degraded_", False)),
             watchdog=watchdog,
         ).start()
         print(f"status endpoint live at {status_server.url('/status')}")

@@ -2,17 +2,15 @@
 
 A serving deployment that has to survive heavy traffic cannot treat every
 failure as fatal: a paging sink that starts raising, one NaN row from a broken
-producer, or a scoring worker process killed by the OOM killer must degrade
-the service, not kill it — and every degradation must leave an auditable
-event.  This module collects the pieces the rest of :mod:`repro.serve`
-threads through the stack:
+producer, or a torn registry write must degrade the service, not kill it —
+and every degradation must leave an auditable event.  This module collects
+the pieces the rest of :mod:`repro.serve` threads through the stack:
 
 * **structured fault events** — :class:`QuarantinedRows` (poison rows diverted
-  before scoring), :class:`WorkerRestart` (a dead/hung process worker was
-  respawned and its round replayed), :class:`SinkDisabled` (a repeatedly
-  raising sink was taken out of the loop) and :class:`RegistryRecovery`
-  (a partial/corrupt registry version was quarantined at startup).  All of
-  them expose ``to_dict()`` and flow through the ordinary alert sinks;
+  before scoring), :class:`SinkDisabled` (a repeatedly raising sink was taken
+  out of the loop) and :class:`RegistryRecovery` (a partial/corrupt registry
+  version was quarantined at startup).  All of them expose ``to_dict()`` and
+  flow through the ordinary alert sinks;
 * **sink fault isolation** — :class:`ResilientSink` wraps any sink so a raise
   is retried and, after ``max_consecutive_errors`` consecutive failed emits,
   the sink is disabled instead of poisoning the scoring loop
@@ -22,9 +20,9 @@ threads through the stack:
   snapshot I/O (deterministic jitter: reruns back off identically);
 * **a deterministic fault-injection harness** — :class:`FaultInjector`,
   built from a compact spec string (see :meth:`FaultInjector.from_spec`),
-  injects each failure class the tolerance layer claims to survive: a worker
-  crash at round *k*, a sink raising every *m*-th emit, a NaN row burst at
-  rate *p*, and a torn registry write.  Everything is seeded, so a chaos test
+  injects each failure class the tolerance layer claims to survive: a sink
+  raising every *m*-th emit, a NaN row burst at rate *p*, a torn registry
+  write and a stalled producer.  Everything is seeded, so a chaos test
   can reconstruct exactly which rows were poisoned and assert the degraded
   run still matches the fault-free one.
 
@@ -33,12 +31,8 @@ Spec grammar (``repro serve --inject-faults SPEC``)::
     SPEC     := clause (';' clause)*
     clause   := NAME ['@' param (',' param)*]
     param    := KEY '=' VALUE
-    NAME     := 'worker_crash' | 'worker_hang' | 'sink_raise'
-              | 'nan_rows' | 'torn_write' | 'stall'
+    NAME     := 'sink_raise' | 'nan_rows' | 'torn_write' | 'stall'
 
-    worker_crash@round=K          crash one process worker at round K (once)
-    worker_crash@every=N[,shard=S]  crash shard S's worker every N-th round
-    worker_hang@round=K,seconds=T   hang a worker for T seconds at round K
     sink_raise@every=M            every M-th emit of each wrapped sink raises
     nan_rows@rate=P               poison each row with probability P (seeded)
     nan_rows@every=N,rows=J       poison J rows of every N-th batch
@@ -48,15 +42,13 @@ Spec grammar (``repro serve --inject-faults SPEC``)::
                                   ``--status-port`` heartbeat watchdog when
                                   T exceeds ``--health-deadline``
 
-Example: ``worker_crash@every=1;sink_raise@every=1;nan_rows@rate=0.05`` is
-the acceptance chaos mix — one worker killed per round, a sink raising on
-every emit, a 5% poison-row stream.
+Example: ``sink_raise@every=1;nan_rows@rate=0.05`` is the acceptance chaos
+mix — a sink raising on every emit and a 5% poison-row stream.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -75,7 +67,6 @@ __all__ = [
     "RegistryRecovery",
     "ResilientSink",
     "SinkDisabled",
-    "WorkerRestart",
     "call_with_retry",
     "emit_resilient",
     "wrap_sinks",
@@ -108,34 +99,6 @@ class QuarantinedRows:
             "row_indices": list(self.row_indices),
             "n_rows": self.n_rows,
             "reason": self.reason,
-        }
-
-
-@dataclass(frozen=True)
-class WorkerRestart:
-    """One recovery of the sharded service's process pool.
-
-    ``shards`` lists the shard indices whose round slice is being replayed
-    (state is shipped per round, so the replay is side-effect-free);
-    ``restarts`` is the cumulative respawn count against the
-    ``max_worker_restarts`` budget, and ``degraded`` marks the budget-
-    exhausted transition to in-parent sequential scoring.
-    """
-
-    round_index: int
-    shards: tuple[int, ...]
-    reason: str
-    restarts: int
-    degraded: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "worker_restart",
-            "round_index": self.round_index,
-            "shards": list(self.shards),
-            "reason": self.reason,
-            "restarts": self.restarts,
-            "degraded": self.degraded,
         }
 
 
@@ -365,8 +328,6 @@ class RaisingSink:
 
 
 _FAULT_NAMES = (
-    "worker_crash",
-    "worker_hang",
     "sink_raise",
     "nan_rows",
     "torn_write",
@@ -381,23 +342,12 @@ class FaultInjector:
     Build one from a spec string with :meth:`from_spec` (grammar in the
     module docstring) or directly from keyword arguments.  All injected
     faults are pure functions of ``(seed, position)`` — the same spec and
-    seed poison the same rows, crash the same rounds and raise on the same
-    emits on every run, which is what lets the chaos suite assert the
-    degraded run equals the fault-free one.
-
-    Worker crashes fire only on ``attempt == 0`` of a round: the supervised
-    replay of the same round must succeed, exactly like a real crash that
-    does not repeat (a crash that *did* repeat forever would exhaust the
-    restart budget and degrade the service to sequential scoring — also a
-    tested path, via ``max_worker_restarts=0``).
+    seed poison the same rows and raise on the same emits on every run,
+    which is what lets the chaos suite assert the degraded run equals the
+    fault-free one.
     """
 
     seed: int = 0
-    crash_round: int | None = None
-    crash_every: int | None = None
-    crash_shard: int = 0
-    hang_round: int | None = None
-    hang_seconds: float = 2.0
     sink_raise_every: int | None = None
     nan_rate: float | None = None
     nan_every: int | None = None
@@ -445,22 +395,7 @@ class FaultInjector:
         def _pop_float(key: str) -> float | None:
             return float(params.pop(key)) if key in params else None
 
-        if name == "worker_crash":
-            self.crash_round = _pop_int("round")
-            self.crash_every = _pop_int("every")
-            shard = _pop_int("shard")
-            if shard is not None:
-                self.crash_shard = shard
-            if (self.crash_round is None) == (self.crash_every is None):
-                raise ValueError("worker_crash needs exactly one of round= or every=")
-        elif name == "worker_hang":
-            self.hang_round = _pop_int("round")
-            seconds = _pop_float("seconds")
-            if seconds is not None:
-                self.hang_seconds = seconds
-            if self.hang_round is None:
-                raise ValueError("worker_hang needs round=")
-        elif name == "sink_raise":
+        if name == "sink_raise":
             every = _pop_int("every")
             self.sink_raise_every = 1 if every is None else every
             if self.sink_raise_every < 1:
@@ -493,12 +428,6 @@ class FaultInjector:
     def describe(self) -> str:
         """One-line human summary of the armed faults."""
         parts = []
-        if self.crash_round is not None:
-            parts.append(f"worker crash at round {self.crash_round} (shard {self.crash_shard})")
-        if self.crash_every is not None:
-            parts.append(f"worker crash every {self.crash_every} round(s) (shard {self.crash_shard})")
-        if self.hang_round is not None:
-            parts.append(f"worker hang {self.hang_seconds:g}s at round {self.hang_round}")
         if self.sink_raise_every is not None:
             parts.append(f"sink raises every {self.sink_raise_every} emit(s)")
         if self.nan_rate is not None:
@@ -561,36 +490,6 @@ class FaultInjector:
         if self.sink_raise_every is None:
             return list(sinks)
         return [RaisingSink(sink, every=self.sink_raise_every) for sink in sinks]
-
-    # -- worker faults -----------------------------------------------------------
-    def maybe_fail_worker(self, round_index: int, shard: int, attempt: int) -> None:
-        """Crash or hang the calling worker process when the fault matches.
-
-        Runs inside the worker (the injector pickles into
-        ``_score_round_in_subprocess``); ``os._exit`` models a hard death —
-        no exception, no cleanup, exactly what the OOM killer does.  Only
-        ``attempt == 0`` fires so the supervised replay succeeds.
-        """
-        if attempt != 0 or shard != self.crash_shard:
-            return
-        if self.hang_round is not None and round_index == self.hang_round:
-            time.sleep(self.hang_seconds)
-            return
-        crash = (
-            self.crash_round is not None and round_index == self.crash_round
-        ) or (
-            self.crash_every is not None and round_index % self.crash_every == 0
-        )
-        if crash:
-            os._exit(17)
-
-    @property
-    def targets_workers(self) -> bool:
-        return (
-            self.crash_round is not None
-            or self.crash_every is not None
-            or self.hang_round is not None
-        )
 
     # -- torn registry writes ----------------------------------------------------
     @staticmethod

@@ -35,65 +35,42 @@ have voted since the last swap, the parent — at the next **round boundary**,
 with every worker idle — refits once from its clean-window buffer, gates,
 publishes, and swaps all workers to the new model.  Swaps only ever happen
 between rounds, so within any round every shard scores with the same model
-epoch (:attr:`BatchResult.model_epoch`), in thread *and* process modes.
+epoch (:attr:`BatchResult.model_epoch`).
 
 When the lifecycle carries a shadow evaluator
 (:class:`~repro.serve.lifecycle.shadow.ShadowEvaluator`), a vote-coordinated
 refit does not swap immediately: every worker double-scores its shard's
-batches with the candidate (threads share the object; processes load a
-per-trial snapshot, cached like the served model), the parent merges the
-candidate scores back into **global order** and feeds one trial, and the
-verdict is applied at a round boundary — the ``shadow_pass`` swap (or
-``shadow_reject`` discard) is global and round-aligned in both modes.
+batches with the shared candidate, the parent merges the candidate scores
+back into **global order** and feeds one trial, and the verdict is applied at
+a round boundary — the ``shadow_pass`` swap (or ``shadow_reject`` discard) is
+global and round-aligned.
 
 Fault tolerance
 ---------------
-Process-mode workers are *supervised* (:mod:`repro.serve.faults`): a dead or
-hung worker tears down the pool, a fresh one is spawned, and only the failed
-shards' slices are replayed — idempotently, because per-shard state ships per
-round and advances only on success.  Each recovery emits a ``worker_restart``
-event; past the ``max_worker_restarts`` budget the service degrades to
-in-parent sequential scoring instead of dying.  Rows quarantined by a shard
-(non-finite features) are announced by the parent in global order, and all
-sinks are wrapped so one raising sink is disabled rather than fatal.
+Rows quarantined by a shard (non-finite features) are announced by the
+parent in global order, and all sinks are wrapped so one raising sink is
+disabled rather than fatal (:mod:`repro.serve.faults`).
 
-Worker modes
-------------
-``mode="thread"`` shares the fitted detector across worker threads
-(scoring is read-only; NumPy and the native kernels release the GIL, so
-native-kernel detectors scale well).  ``mode="process"`` snapshots the
-detector (:func:`~repro.serve.snapshot.save_snapshot`) and loads it inside
-each worker process (cached per epoch), shipping each shard's rolling/drift
-state to and from the workers every round — higher overhead, but unaffected
-by the GIL for pure-Python scoring.  Both modes consume the stream lazily in
-bounded *rounds* of ``n_workers * batches_per_round`` batches.  ``mode="auto"``
-picks threads when the native kernels are available and processes otherwise.
+Workers
+-------
+Workers are threads sharing the fitted detector (scoring is read-only; NumPy
+and the native kernels release the GIL, so native-kernel detectors scale
+well).  Without the native kernels scoring is GIL-bound and threads lose to
+the sequential service; serve with one worker there.  The stream is consumed
+lazily in bounded *rounds* of ``n_workers * batches_per_round`` batches.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import tempfile
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from dataclasses import dataclass, replace
-from pathlib import Path
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.ml import native
-from repro.serve.drift import DriftMonitor, _RingBuffer
-from repro.serve.faults import (
-    QuarantinedRows,
-    WorkerRestart,
-    emit_resilient,
-    wrap_sinks,
-)
+from repro.serve.drift import DriftMonitor
+from repro.serve.faults import QuarantinedRows, emit_resilient, wrap_sinks
 from repro.serve.service import (
     Alert,
     BatchResult,
@@ -102,162 +79,14 @@ from repro.serve.service import (
     ServiceReport,
     _validate_stream_batch,
 )
-from repro.serve.snapshot import load_snapshot, save_snapshot
 from repro.serve.telemetry.context import TraceContext
-from repro.serve.telemetry.log import get_logger, log_event
 from repro.serve.telemetry.metrics import MetricsEvent, MetricsRegistry
 from repro.serve.telemetry.tracing import SpanBuffer, SpanTracer, trace_span
 from repro.utils.timing import Timer
 
-_logger = get_logger("parallel")
-
 __all__ = ["ShardedDetectionService"]
 
 _SHARD_MODES = ("round_robin", "greedy")
-
-
-@dataclass
-class _ShardState:
-    """Per-shard serving state shipped to/from process workers every round.
-
-    The monitor carries drift windows, references and cooldown; ``rolling``
-    is the shard's rolling-threshold window (``None`` = start fresh, which is
-    also how a coordinated swap resets it); ``metrics`` is the shard's
-    :class:`~repro.serve.telemetry.MetricsRegistry` (``None`` = start fresh),
-    shipped back every round so the parent can fold all shards' metrics into
-    one global snapshot.  All three pickle cheaply.
-    """
-
-    monitor: DriftMonitor | None = None
-    rolling: _RingBuffer | None = None
-    metrics: MetricsRegistry | None = None
-    #: Shard-local batch/sample counters, shipped so a process worker's
-    #: rebuilt service resumes exactly where the shard left off — keeping
-    #: span ``batch_index`` values identical between thread mode (long-lived
-    #: shard services) and process mode (service rebuilt every round).
-    n_batches: int = 0
-    n_samples: int = 0
-
-
-#: Per-process model cache: (snapshot_path, model).  A coordinated swap
-#: publishes a *new* snapshot path, so comparing paths doubles as the epoch
-#: check; only the latest model is retained per worker process.
-_WORKER_MODEL: tuple[str, Any] | None = None
-
-#: Per-process shadow-candidate cache, same path-keyed scheme: each shadow
-#: trial publishes one candidate snapshot, so only the current trial's model
-#: is retained per worker process.
-_WORKER_SHADOW: tuple[str, Any] | None = None
-
-
-def _score_round_in_subprocess(
-    snapshot_path: str,
-    epoch: int,
-    service_kwargs: dict,
-    state: _ShardState,
-    items: list[tuple[int, np.ndarray]],
-    shadow_snapshot_path: str | None = None,
-    round_index: int = 0,
-    shard: int = 0,
-    attempt: int = 0,
-    injector: Any = None,
-    trace_ctx: TraceContext | None = None,
-) -> tuple[
-    list[tuple[int, BatchResult, np.ndarray | None]],
-    _ShardState,
-    list[dict],
-]:
-    """Worker-process entry point: score one shard's slice of one round.
-
-    Module-level so it pickles.  Loads the snapshot once per (process, path)
-    and rebuilds the shard's :class:`DetectionService` around the shipped
-    state; returns the results plus the updated state so the next round
-    continues where this one left off.  With a pending shadow trial the
-    candidate snapshot is loaded the same way and every batch is
-    double-scored; the candidate scores ride back with the results so the
-    *parent* can merge them in global order and judge the trial.
-
-    Because the shard state only updates on a *returned* result, the whole
-    call is idempotent: the supervisor can replay a failed round against the
-    unchanged shipped state with no double-counting.  ``round_index`` /
-    ``shard`` / ``attempt`` exist for the optional
-    :class:`~repro.serve.faults.FaultInjector`, which may kill or hang this
-    worker deterministically (first attempt only, so replays succeed).
-
-    With a ``trace_ctx`` (the parent's per-shard fork of the round's
-    ``round_submit`` context, shipped alongside the scalar state) the shard's
-    spans are recorded into a :class:`SpanBuffer` and returned as the third
-    element, so the parent can flush them to the real tracer in shard order.
-    The context ships fresh per submission, so a replayed round allocates the
-    *same* span ids as the failed attempt — spans are idempotent like the
-    results — and replayed spans carry ``"retry": attempt`` so a trace reader
-    can tell a recovery from a duplicate.
-    """
-    global _WORKER_MODEL, _WORKER_SHADOW
-    if injector is not None:
-        injector.maybe_fail_worker(round_index, shard, attempt)
-    if _WORKER_MODEL is None or _WORKER_MODEL[0] != snapshot_path:
-        _WORKER_MODEL = (snapshot_path, load_snapshot(snapshot_path))
-    shadow_model = None
-    if shadow_snapshot_path is None:
-        # The trial resolved (or none is running): drop the dead candidate
-        # instead of pinning a full model per worker for the stream's rest.
-        _WORKER_SHADOW = None
-    else:
-        if _WORKER_SHADOW is None or _WORKER_SHADOW[0] != shadow_snapshot_path:
-            _WORKER_SHADOW = (shadow_snapshot_path, load_snapshot(shadow_snapshot_path))
-        shadow_model = _WORKER_SHADOW[1]
-    service = DetectionService(
-        _WORKER_MODEL[1],
-        drift_monitor=state.monitor,
-        telemetry=state.metrics,
-        **service_kwargs,
-    )
-    service.epoch_ = epoch
-    service.n_batches_ = state.n_batches
-    service.n_samples_ = state.n_samples
-    if state.rolling is not None:
-        service._rolling = state.rolling
-    buffer: SpanBuffer | None = None
-    if trace_ctx is not None:
-        buffer = SpanBuffer()
-        service.tracer = buffer
-        service.trace_context = trace_ctx
-    results = []
-    for g, X in items:
-        result = service.process_batch(X)
-        shadow_scores = None
-        if shadow_model is not None and X.shape[0]:
-            with trace_span(
-                "shadow_score",
-                metrics=service.telemetry,
-                tracer=buffer,
-                rows=int(X.shape[0]),
-                batch_index=g,
-                context=trace_ctx,
-            ):
-                shadow_scores = service._score_micro_batched(X, shadow_model)
-        results.append((g, result, shadow_scores))
-    spans: list[dict] = []
-    if buffer is not None:
-        spans = buffer.spans
-        if attempt:
-            for span in spans:
-                span["retry"] = attempt
-    # The rolling window only exists for threshold="rolling"; shipping the
-    # (otherwise never-read) backing array back and forth every round would
-    # pickle rolling_window floats per shard for nothing.
-    rolling = (
-        service._rolling if service_kwargs.get("threshold") == "rolling" else None
-    )
-    state = _ShardState(
-        monitor=service.drift_monitor,
-        rolling=rolling,
-        metrics=service.telemetry,
-        n_batches=service.n_batches_,
-        n_samples=service.n_samples_,
-    )
-    return results, state, spans
 
 
 class ShardedDetectionService:
@@ -266,14 +95,15 @@ class ShardedDetectionService:
     Parameters
     ----------
     detector:
-        Fitted object exposing ``score_samples``; shared across threads or
-        snapshotted into worker processes depending on ``mode``.
+        Fitted object exposing ``score_samples``; shared across the worker
+        threads.
     n_workers:
         Number of shards/workers (``1`` degenerates to a sequential service
         with merger overhead).
     mode:
-        ``"thread"``, ``"process"`` or ``"auto"`` (threads when the native
-        kernels are available, processes otherwise).
+        Worker backend.  Only ``"thread"`` (the default) is accepted and any
+        other value raises ``ValueError``; the parameter stays so callers
+        that pass ``mode="thread"`` keep working.
     shard_mode:
         ``"round_robin"`` (default) assigns batch ``g`` to worker
         ``g % n_workers``; the opt-in ``"greedy"`` assigns each batch to the
@@ -302,38 +132,19 @@ class ShardedDetectionService:
         Alert sinks fed by the *merger* (not the shards) so events arrive in
         global stream order exactly once.
     batches_per_round:
-        Both modes consume the stream in rounds of
+        The stream is consumed in rounds of
         ``n_workers * batches_per_round`` batches, bounding buffered memory
         while keeping every worker busy; coordinated swaps happen only at
         round boundaries.
-    max_worker_restarts:
-        (Process mode.)  Budget of pool respawns after a worker dies
-        (``BrokenProcessPool``/pipe error) or exceeds ``worker_timeout_s``.
-        Each recovery replays only the failed shards' slices — per-shard
-        state ships per round and updates only on success, so a replay is
-        idempotent — and emits a ``worker_restart`` event.  Once the budget
-        is spent the service *degrades to in-parent sequential scoring*
-        (a final ``worker_restart`` event with ``degraded=True``) instead of
-        dying mid-stream.
-    worker_timeout_s:
-        (Process mode.)  Upper bound in seconds on waiting for one shard's
-        round result; a worker exceeding it is treated as hung and its pool
-        torn down + respawned under the same restart budget.  ``None``
-        (default) waits forever.
-    fault_injector:
-        Optional :class:`~repro.serve.faults.FaultInjector` shipped to the
-        process workers for deterministic chaos testing (see
-        ``serve --inject-faults``).  Never set in production.
     telemetry, tracer, metrics_every:
         Parent-side telemetry (see :class:`DetectionService`).  Each shard
         records into its *own* registry (pipeline + stage metrics, exactly
         like a sequential service); the parent records only parent-owned
-        work (``round_submit``/``round_merge`` spans, sink emits, worker
-        restarts).  ``metrics_snapshot()`` folds parent + shards in shard
-        order into one global snapshot whose counters match a sequential
-        run on the same stream; ``metrics_every`` emits that folded
-        snapshot as a :class:`~repro.serve.telemetry.MetricsEvent` every N
-        merged batches.
+        work (``round_submit``/``round_merge`` spans, sink emits).
+        ``metrics_snapshot()`` folds parent + shards in shard order into one
+        global snapshot whose counters match a sequential run on the same
+        stream; ``metrics_every`` emits that folded snapshot as a
+        :class:`~repro.serve.telemetry.MetricsEvent` every N merged batches.
     """
 
     def __init__(
@@ -341,7 +152,7 @@ class ShardedDetectionService:
         detector: Any,
         *,
         n_workers: int = 2,
-        mode: str = "auto",
+        mode: str = "thread",
         shard_mode: str = "round_robin",
         threshold: float | str = "auto",
         rolling_window: int = 4096,
@@ -353,9 +164,6 @@ class ShardedDetectionService:
         quorum: float = 0.5,
         sinks: Sequence[Any] = (),
         batches_per_round: int = 4,
-        max_worker_restarts: int = 3,
-        worker_timeout_s: float | None = None,
-        fault_injector: Any = None,
         telemetry: MetricsRegistry | None = None,
         tracer: SpanTracer | None = None,
         trace_context: TraceContext | None = None,
@@ -365,12 +173,11 @@ class ShardedDetectionService:
             raise ValueError("n_workers must be at least 1")
         if metrics_every is not None and metrics_every < 1:
             raise ValueError("metrics_every must be at least 1 (or None)")
-        if max_worker_restarts < 0:
-            raise ValueError("max_worker_restarts must be non-negative")
-        if worker_timeout_s is not None and worker_timeout_s <= 0:
-            raise ValueError("worker_timeout_s must be positive")
-        if mode not in ("auto", "thread", "process"):
-            raise ValueError("mode must be 'auto', 'thread' or 'process'")
+        if mode != "thread":
+            raise ValueError(
+                f"mode must be 'thread', got {mode!r}: process mode (and "
+                "'auto', which could resolve to it) was removed"
+            )
         if shard_mode not in _SHARD_MODES:
             raise ValueError(f"shard_mode must be one of {_SHARD_MODES}")
         if not 0.0 < quorum <= 1.0:
@@ -389,16 +196,12 @@ class ShardedDetectionService:
             )
         self.detector = detector
         self.n_workers = n_workers
-        self.mode = mode
         self.shard_mode = shard_mode
         self.drift_monitor_factory = drift_monitor_factory
         self.lifecycle = lifecycle
         self.quorum = quorum
         self.sinks = wrap_sinks(sinks)
         self.batches_per_round = batches_per_round
-        self.max_worker_restarts = max_worker_restarts
-        self.worker_timeout_s = worker_timeout_s
-        self.fault_injector = fault_injector
         self.telemetry = MetricsRegistry() if telemetry is None else telemetry
         self.tracer = tracer
         if trace_context is None and tracer is not None:
@@ -409,9 +212,6 @@ class ShardedDetectionService:
         self.heartbeat: Any = None
         self.profiler: Any = None
         self.metrics_every = metrics_every
-        self._m_worker_restarts = self.telemetry.counter(
-            "pipeline.worker_restarts", unit="restarts"
-        )
         self._m_sink_disabled = self.telemetry.counter(
             "pipeline.sink_disabled", unit="sinks"
         )
@@ -439,23 +239,14 @@ class ShardedDetectionService:
         self.n_drift_events_ = 0
         self.n_swaps_ = 0
         self.n_quarantined_ = 0
-        self.n_worker_restarts_ = 0
         self.n_disabled_sinks_ = 0
-        self.degraded_ = False
         self.drift_batches_: list[int] = []
         self._latency_total = 0.0
         self._shard_services: list[DetectionService] | None = None
-        self._process_states: list[_ShardState] | None = None
         self._worker_rows = [0] * n_workers  # greedy-assignment load account
         self._drift_votes: set[int] = set()  # shards voting since last swap
 
     # -- configuration -----------------------------------------------------------
-    def resolved_mode(self) -> str:
-        """The worker mode actually used (``"auto"`` resolved)."""
-        if self.mode != "auto":
-            return self.mode
-        return "thread" if native.available() else "process"
-
     @property
     def _votes_needed(self) -> int:
         return max(1, math.ceil(self.quorum * self.n_workers - 1e-9))
@@ -505,8 +296,8 @@ class ShardedDetectionService:
             return
         # Root-context placement, exactly like the sequential service's
         # _emit: shard workers are sinkless, so the parent's merge-time emits
-        # are the only sink_emit spans in any mode — and they all parent to
-        # the trace root.
+        # are the only sink_emit spans of a sharded run — and they all parent
+        # to the trace root.
         with trace_span(
             "sink_emit",
             metrics=self.telemetry,
@@ -600,7 +391,7 @@ class ShardedDetectionService:
         """At a round boundary: refit/gate/publish once if quorum is reached.
 
         Returns ``(candidate, rebootstrap)``: the new model every worker must
-        swap to (the caller applies it mode-specifically), or ``None``.
+        swap to (the caller reloads every shard service), or ``None``.
         Only a *refit* candidate rebootstraps the shard monitors' feature
         references — it was trained on the post-drift window; a fallback
         *reload* may be stale, so the references are kept and a persistent
@@ -673,7 +464,7 @@ class ShardedDetectionService:
             return None
         return getattr(self.lifecycle, "shadow_candidate", None)
 
-    # -- thread mode -------------------------------------------------------------
+    # -- shard workers -----------------------------------------------------------
     def _make_shard_service(self) -> DetectionService:
         monitor = (
             self.drift_monitor_factory()
@@ -788,7 +579,6 @@ class ShardedDetectionService:
                     for service in self._shard_services:
                         service.reload_detector(candidate, rebootstrap=rebootstrap)
 
-    # -- process mode ------------------------------------------------------------
     @staticmethod
     def _collect(
         results: list[tuple[int, BatchResult, np.ndarray | None]],
@@ -800,281 +590,15 @@ class ShardedDetectionService:
             if shadow_scores is not None:
                 shadow_by_batch[g] = shadow_scores
 
-    def _supervise_round(
-        self,
-        pool: ProcessPoolExecutor | None,
-        snapshot_path: str,
-        shadow_path: str | None,
-        states: list[_ShardState],
-        shards: list[list[tuple[int, np.ndarray]]],
-        round_index: int,
-        per_batch: dict[int, BatchResult],
-        shadow_by_batch: dict[int, np.ndarray],
-        round_ctx: TraceContext | None = None,
-    ) -> ProcessPoolExecutor | None:
-        """Run one round's shard slices under worker supervision.
-
-        Each shard's slice is submitted to the pool; a shard whose future
-        raises ``BrokenExecutor``/``OSError`` (dead worker) or exceeds
-        ``worker_timeout_s`` (hung worker) is *replayed*: the pool is torn
-        down and respawned, and — because ``states[s]`` only advanced for
-        shards that returned — resubmitting the identical slice is
-        idempotent.  Every recovery burns one unit of the
-        ``max_worker_restarts`` budget and emits a ``worker_restart`` event;
-        past the budget the service degrades to scoring the remaining slices
-        in-parent (sequentially) for the rest of the stream.  Returns the
-        (possibly respawned, possibly retired) pool.
-
-        When ``round_ctx`` is set, each shard gets one trace-context fork per
-        *round* (``round_ctx.fork(f"s{s}")``); replays pickle the same
-        untouched fork, so a replayed slice re-allocates the identical span
-        ids (marked ``retry``) instead of minting duplicates.  Only the
-        winning attempt's spans come back, and they are flushed to the parent
-        tracer in shard order once the round settles.
-        """
-        pending = {s: items for s, items in enumerate(shards) if items}
-        forks: dict[int, TraceContext] = {}
-        round_spans: dict[int, list[dict]] = {}
-        if round_ctx is not None:
-            forks = {s: round_ctx.fork(f"s{s}") for s in pending}
-        attempt = 0
-        incoming_pool = pool
-        try:
-            while pending:
-                if self.degraded_:
-                    # Past the restart budget: no pool, score in-parent.  The
-                    # injector is dropped on purpose — degraded mode is the
-                    # recovery of last resort and must always make progress.
-                    for s, items in sorted(pending.items()):
-                        results, states[s], spans = _score_round_in_subprocess(
-                            snapshot_path,
-                            self.epoch_,
-                            self._service_kwargs,
-                            states[s],
-                            items,
-                            shadow_path,
-                            round_index,
-                            s,
-                            attempt,
-                            None,
-                            forks.get(s),
-                        )
-                        self._collect(results, per_batch, shadow_by_batch)
-                        round_spans[s] = spans
-                    pending.clear()
-                    break
-                if pool is None:
-                    pool = ProcessPoolExecutor(max_workers=self.n_workers)
-                # submit() itself can raise once a just-submitted shard's worker
-                # dies fast enough to break the pool mid-loop, so submission is
-                # supervised too: shards that never made it in are marked failed
-                # and replayed with the rest.
-                futures: dict[int, Any] = {}
-                failed: dict[int, str] = {}
-                for s, items in sorted(pending.items()):
-                    try:
-                        futures[s] = pool.submit(
-                            _score_round_in_subprocess,
-                            snapshot_path,
-                            self.epoch_,
-                            self._service_kwargs,
-                            states[s],
-                            items,
-                            shadow_path,
-                            round_index,
-                            s,
-                            attempt,
-                            self.fault_injector,
-                            forks.get(s),
-                        )
-                    except (BrokenExecutor, OSError) as exc:
-                        failed[s] = type(exc).__name__
-                for s, future in futures.items():
-                    try:
-                        results, states[s], spans = future.result(
-                            timeout=self.worker_timeout_s
-                        )
-                    except (BrokenExecutor, OSError, TimeoutError) as exc:
-                        failed[s] = type(exc).__name__
-                        continue
-                    self._collect(results, per_batch, shadow_by_batch)
-                    round_spans[s] = spans
-                    del pending[s]
-                if failed:
-                    # A dead worker poisons the whole pool (BrokenProcessPool on
-                    # every later submit) and a hung one never frees its slot:
-                    # either way the pool is torn down and respawned fresh.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
-                    reason = ", ".join(
-                        f"shard {s}: {err}" for s, err in sorted(failed.items())
-                    )
-                    if self.n_worker_restarts_ >= self.max_worker_restarts:
-                        self.degraded_ = True
-                        log_event(
-                            logging.ERROR,
-                            "worker_degraded",
-                            logger_=_logger,
-                            round_index=round_index,
-                            shards=tuple(sorted(failed)),
-                            restarts=self.n_worker_restarts_,
-                            reason=reason,
-                        )
-                        self._emit(
-                            WorkerRestart(
-                                round_index=round_index,
-                                shards=tuple(sorted(failed)),
-                                reason=f"{reason}; restart budget exhausted, "
-                                "degrading to in-parent sequential scoring",
-                                restarts=self.n_worker_restarts_,
-                                degraded=True,
-                            )
-                        )
-                    else:
-                        self.n_worker_restarts_ += 1
-                        self._m_worker_restarts.inc()
-                        log_event(
-                            logging.WARNING,
-                            "worker_restart",
-                            logger_=_logger,
-                            round_index=round_index,
-                            shards=tuple(sorted(failed)),
-                            restarts=self.n_worker_restarts_,
-                            reason=reason,
-                        )
-                        self._emit(
-                            WorkerRestart(
-                                round_index=round_index,
-                                shards=tuple(sorted(failed)),
-                                reason=reason,
-                                restarts=self.n_worker_restarts_,
-                            )
-                        )
-                    attempt += 1
-        except BaseException:
-            # An unexpected failure (an application error out of
-            # future.result(), a KeyboardInterrupt mid-round) would
-            # otherwise leak a pool this call respawned: the caller's
-            # finally only knows the pool it passed in.  Tear down a
-            # locally created pool before the exception propagates.
-            if pool is not None and pool is not incoming_pool:
-                pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        if self.tracer is not None:
-            # Shard order, not completion order: the span *file* is as
-            # deterministic as the span tree.
-            for s in sorted(round_spans):
-                for span in round_spans[s]:
-                    self.tracer.record(span)
-        return pool
-
-    def _process_multiprocess(self, stream: Iterable[Any]) -> Iterator[BatchResult]:
-        batches = self._indexed_batches(stream)
-        states = [
-            _ShardState(
-                monitor=(
-                    self.drift_monitor_factory()
-                    if self.drift_monitor_factory is not None
-                    else None
-                )
-            )
-            for _ in range(self.n_workers)
-        ]
-        if not self.telemetry.enabled:
-            for state in states:
-                state.metrics = self.telemetry
-        self._process_states = states
-        with tempfile.TemporaryDirectory(prefix="repro-shard-") as tmp:
-            snapshot_path = str(Path(tmp) / f"model_e{self.epoch_}")
-            save_snapshot(self.detector, snapshot_path)
-            # One candidate snapshot per shadow trial (tag = trial counter);
-            # the workers cache it per path, exactly like the served model.
-            shadow_snapshot: tuple[int, str] | None = None
-            pool: ProcessPoolExecutor | None = None
-            round_index = 0
-            try:
-                while True:
-                    round_items = self._take_round(batches)
-                    if not round_items:
-                        return
-                    shard_of = self._assign_round(round_items)
-                    shards: list[list[tuple[int, np.ndarray]]] = [
-                        [] for _ in range(self.n_workers)
-                    ]
-                    for g, X in round_items:
-                        shards[shard_of[g]].append((g, X))
-                    shadow_path: str | None = None
-                    if self._shadow_detector() is not None:
-                        tag = getattr(self.lifecycle, "n_shadow_trials_", 0)
-                        if shadow_snapshot is None or shadow_snapshot[0] != tag:
-                            path = str(Path(tmp) / f"shadow_t{tag}")
-                            save_snapshot(self._shadow_detector(), path)
-                            shadow_snapshot = (tag, path)
-                        shadow_path = shadow_snapshot[1]
-                    per_batch: dict[int, BatchResult] = {}
-                    shadow_by_batch: dict[int, np.ndarray] = {}
-                    with trace_span(
-                        "round_submit",
-                        metrics=self.telemetry,
-                        tracer=self.tracer,
-                        rows=sum(int(X.shape[0]) for _, X in round_items),
-                        context=self.trace_context,
-                    ) as round_span:
-                        pool = self._supervise_round(
-                            pool,
-                            snapshot_path,
-                            shadow_path,
-                            states,
-                            shards,
-                            round_index,
-                            per_batch,
-                            shadow_by_batch,
-                            round_span.ctx,
-                        )
-                    with trace_span(
-                        "round_merge",
-                        metrics=self.telemetry,
-                        tracer=self.tracer,
-                        rows=sum(r.n_samples for r in per_batch.values()),
-                        context=self.trace_context,
-                    ):
-                        merged = list(
-                            self._merge_round(
-                                per_batch, dict(round_items), shard_of, shadow_by_batch
-                            )
-                        )
-                    yield from merged
-                    candidate, rebootstrap = self._boundary_swap()
-                    if candidate is not None:
-                        # Publish the new epoch's snapshot for the workers and
-                        # reset every shard's model-scale-derived state, same
-                        # as DetectionService.reload_detector does in-process.
-                        snapshot_path = str(Path(tmp) / f"model_e{self.epoch_}")
-                        save_snapshot(candidate, snapshot_path)
-                        for state in states:
-                            if state.monitor is not None:
-                                state.monitor.reset(
-                                    clear_score_reference=True,
-                                    rebootstrap=rebootstrap,
-                                )
-                            state.rolling = None
-                    round_index += 1
-            finally:
-                if pool is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
-
     # -- public API --------------------------------------------------------------
     def process(self, stream: Iterable[Any]) -> Iterator[BatchResult]:
         """Yield merged :class:`BatchResult`\\ s in global stream order.
 
-        Both modes consume the stream lazily and yield round by round
-        (bounded buffering); coordinated swaps happen between rounds.
+        The stream is consumed lazily and yielded round by round (bounded
+        buffering); coordinated swaps happen between rounds.
         """
         with self.timer:
-            if self.resolved_mode() == "thread":
-                yield from self._process_threaded(stream)
-            else:
-                yield from self._process_multiprocess(stream)
+            yield from self._process_threaded(stream)
 
     def run(self, stream: Iterable[Any], *, close_sinks: bool = True) -> ServiceReport:
         """Consume the whole stream and return the merged aggregate report."""
@@ -1095,12 +619,6 @@ class ShardedDetectionService:
             registries.extend(
                 service.telemetry for service in self._shard_services
             )
-        if self._process_states is not None:
-            registries.extend(
-                state.metrics
-                for state in self._process_states
-                if state.metrics is not None
-            )
         return registries
 
     def metrics_snapshot(self) -> dict:
@@ -1109,7 +627,7 @@ class ShardedDetectionService:
         Folding happens on every call (the per-shard registries keep
         accumulating), always in the same global order, so repeated
         snapshots never double-count and counter values are identical
-        across sequential, thread and process runs of the same stream.
+        across sequential and thread runs of the same stream.
         """
         return MetricsRegistry.fold(self._registries()).snapshot()
 
@@ -1141,6 +659,5 @@ class ShardedDetectionService:
             batch_latency_p95_s=hist.percentile(0.95),
             batch_latency_p99_s=hist.percentile(0.99),
             n_quarantined=self.n_quarantined_,
-            n_worker_restarts=self.n_worker_restarts_,
             n_disabled_sinks=self.n_disabled_sinks_,
         )

@@ -158,7 +158,6 @@ class ServiceReport:
     batch_latency_p95_s: float = 0.0
     batch_latency_p99_s: float = 0.0
     n_quarantined: int = 0
-    n_worker_restarts: int = 0
     n_disabled_sinks: int = 0
 
     def to_dict(self) -> dict:
@@ -175,7 +174,6 @@ class ServiceReport:
             "batch_latency_p95_s": self.batch_latency_p95_s,
             "batch_latency_p99_s": self.batch_latency_p99_s,
             "n_quarantined": self.n_quarantined,
-            "n_worker_restarts": self.n_worker_restarts,
             "n_disabled_sinks": self.n_disabled_sinks,
         }
 
@@ -197,8 +195,6 @@ class ServiceReport:
             lines.append("drift: none flagged")
         if self.n_quarantined:
             lines.append(f"quarantined rows: {self.n_quarantined}")
-        if self.n_worker_restarts:
-            lines.append(f"worker restarts: {self.n_worker_restarts}")
         if self.n_disabled_sinks:
             lines.append(f"disabled sinks: {self.n_disabled_sinks}")
         return "\n".join(lines)

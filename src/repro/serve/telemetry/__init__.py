@@ -7,21 +7,21 @@ The observability substrate for :mod:`repro.serve`, in four pieces:
   a :class:`MetricsRegistry` with a dict :meth:`~MetricsRegistry.snapshot`,
   a :class:`MetricsEvent` for the sink fabric, and
   :func:`deterministic_view` — the timing-free snapshot subset that
-  sequential, thread and process runs of the same stream agree on exactly.
+  sequential and thread runs of the same stream agree on exactly.
 * :mod:`~repro.serve.telemetry.tracing` / :mod:`~repro.serve.telemetry.context`
   — :func:`trace_span` wraps each pipeline stage, recording wall time + rows
   into the registry and optionally to a :class:`SpanTracer` JSONL file
   (``serve --trace-file``); with a :class:`TraceContext` attached every span
   carries deterministic ``trace_id``/``span_id``/``parent_span_id`` ids that
-  survive the thread/process worker boundary (:class:`SpanBuffer` ships
-  worker spans back to the coordinator).
+  survive the worker-thread boundary (:class:`SpanBuffer` hands worker
+  spans back to the coordinator).
 * :mod:`~repro.serve.telemetry.traceview` — the ``repro trace`` analyzer:
   tree reconstruction, per-stage aggregation, critical paths and
   ``--budget`` latency gates over span-JSONL files.
 * :mod:`~repro.serve.telemetry.statusd` / :mod:`~repro.serve.telemetry.exposition`
   — the opt-in live introspection endpoint (``serve --status-port``):
   :class:`StatusServer` answers ``/metrics`` (:func:`render_prometheus`),
-  ``/health`` (:class:`HeartbeatWatchdog` + degraded flag) and ``/status``.
+  ``/health`` (:class:`HeartbeatWatchdog`) and ``/status``.
 * :mod:`~repro.serve.telemetry.profiling` — :class:`MemoryProfiler` samples
   RSS/tracemalloc per stage (``serve --profile-mem``) into gauges, byte
   histograms and the ``memory`` section of ``run_summary.json``.

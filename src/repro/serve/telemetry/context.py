@@ -9,20 +9,17 @@ context hands out ``"2.s0.1"``, ``"2.s0.2"``.  Two consequences matter for
 the serving stack:
 
 * **Reproducible trees** — allocation depends only on the order spans open
-  under one context, so sequential, thread and process runs of the same
-  stream produce the same span *tree shape* (parent/child edges and stage
-  multiset), and replaying a round after a worker crash re-allocates the
-  *same* ids (idempotent, no duplicates).
+  under one context, so sequential and thread runs of the same stream
+  produce the same span *tree shape* (parent/child edges and stage
+  multiset), and re-running a fork re-allocates the *same* ids.
 * **Race-free concurrency** — contexts are deliberately *not* shared across
   threads; instead the coordinator :meth:`fork`\\ s one child namespace per
   shard (``s0``, ``s1``, ...), so concurrent workers can never interleave on
-  one counter.  A fork does not consume ids from its parent, which is what
-  makes round replay deterministic.
+  one counter.  A fork does not consume ids from its parent, so the ids a
+  shard allocates never depend on the order its siblings run.
 
-Contexts pickle (the process-mode sharded service ships one per shard with
-the per-round scalar state), and the dotted ids are collision-free across
-process boundaries because each process only allocates inside the namespace
-it was handed.
+Contexts pickle, and the dotted ids are collision-free across workers
+because each worker only allocates inside the namespace it was handed.
 """
 
 from __future__ import annotations

@@ -16,16 +16,15 @@
   value *in fold order*, so folding shards in global shard order keeps the
   merged view deterministic.
 * **Deterministic counter values** — counts (batches, rows, events, span
-  calls) depend only on the stream, never on timing, so sequential, thread
-  and process runs over the same stream produce identical values.  Wall-time
+  calls) depend only on the stream, never on timing, so sequential and
+  thread runs over the same stream produce identical values.  Wall-time
   *observations* obviously differ run to run; :func:`deterministic_view`
   strips them from a snapshot, leaving exactly the subset two runs of any
   worker mode must agree on (used by the metrics-merge determinism tests).
 
-Everything here is plain Python + tuples, so a registry pickles cheaply —
-the process-mode sharded service ships each shard's registry back with its
-round state.  A :class:`MetricsEvent` wraps a snapshot for the ordinary sink
-fabric (``DetectionService(metrics_every=N)`` emits one every N batches).
+Everything here is plain Python + tuples, so a registry pickles cheaply.  A
+:class:`MetricsEvent` wraps a snapshot for the ordinary sink fabric
+(``DetectionService(metrics_every=N)`` emits one every N batches).
 """
 
 from __future__ import annotations
@@ -261,8 +260,7 @@ class MetricsRegistry:
     Instruments are created on first use (``registry.counter("pipeline.rows",
     unit="rows").inc(n)``); asking for an existing name with a different kind
     or unit raises — one name, one meaning.  The registry is plain Python and
-    pickles, so shard registries ship to/from process workers with their
-    round state.
+    pickles.
     """
 
     def __init__(self) -> None:

@@ -15,7 +15,7 @@ structure), and derives:
   :func:`main` return 1, which is what CI latency gates key off.
 
 :func:`tree_shape` and :func:`stage_multiset` are the comparison helpers the
-cross-mode tests use: sequential, thread and process runs of one stream must
+cross-mode tests use: sequential and thread runs of one stream must
 produce identical shapes (after eliding the coordinator-only
 ``round_submit``/``round_merge`` wrappers when comparing against sequential).
 

@@ -16,8 +16,8 @@ span additionally carries ``trace_id`` / ``span_id`` / ``parent_span_id``
 are appended at ``__exit__``, so a JSONL trace lists children *before* their
 parents; readers must rebuild the tree from the ids, not the line order.
 
-:class:`SpanBuffer` is the tracer stand-in for worker processes: it has the
-same ``record`` API but accumulates span dicts in memory so a shard can ship
+:class:`SpanBuffer` is the tracer stand-in for worker threads: it has the
+same ``record`` API but accumulates span dicts in memory so a shard can hand
 its spans back to the coordinator with its round results, which flushes them
 to the real tracer in global shard order (deterministic file content).
 
@@ -107,11 +107,11 @@ class SpanTracer:
 class SpanBuffer:
     """In-memory tracer with :class:`SpanTracer`'s ``record`` API.
 
-    Worker processes and thread shards record into a buffer instead of a
-    file; the coordinator ships :attr:`spans` back with the round results and
-    flushes them to the real tracer in shard order.  ``t_offset_s`` values
-    are relative to *this buffer's* construction (the worker's own clock);
-    ids, not timestamps, are the cross-process invariant.
+    Thread shards record into a buffer instead of a file; the coordinator
+    flushes :attr:`spans` to the real tracer in shard order after the round.
+    ``t_offset_s`` values are relative to *this buffer's* construction (the
+    worker's own clock); ids, not timestamps, are the cross-worker
+    invariant.
     """
 
     __slots__ = ("spans", "n_spans", "_origin")

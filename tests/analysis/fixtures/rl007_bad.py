@@ -3,6 +3,12 @@
 from concurrent.futures import ThreadPoolExecutor
 
 
+def _score_cached(items):
+    global _CACHE  # BAD: global in a module-level submit target
+    _CACHE = items
+    return items
+
+
 class BadShardedService:
     def __init__(self):
         self.counter_ = 0
@@ -16,4 +22,5 @@ class BadShardedService:
     def run(self, shards):
         with ThreadPoolExecutor() as pool:
             futures = [pool.submit(self._score_shard, items) for items in shards]
+            futures.append(pool.submit(_score_cached, shards))
             return [future.result() for future in futures]

