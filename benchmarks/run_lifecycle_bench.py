@@ -3,9 +3,9 @@
 An online-refit deployment pays two new costs on top of scoring: the time to
 train a candidate on the clean window (refit latency — happens at most once
 per drift episode) and the time the serving loop stalls while models swap
-(every worker must be idle at the round boundary that applies a coordinated
-swap).  This benchmark measures both and records them under the
-``"lifecycle"`` key of ``BENCH_inference.json`` so
+(a sharded service swaps the parent and every shard from its per-batch
+tail, after the round's scoring finished).  This benchmark measures both
+and records them under the ``"lifecycle"`` key of ``BENCH_inference.json`` so
 ``check_bench_trend.py`` fails the build when either regresses, exactly as
 it does for single-core inference (``results``) and the parallel layer
 (``parallel``):
@@ -15,8 +15,9 @@ it does for single-core inference (``results``) and the parallel layer
 * ``DetectionService.reload_detector[iforest]`` — the sequential in-process
   swap (rolling/drift state reset included), reported as swaps per second
   (plus ``swap_stall_s``);
-* ``coordinated_swap[thread,w=N]`` — swapping every shard service of a
-  :class:`ShardedDetectionService` at a round boundary.
+* ``coordinated_swap[thread,w=N]`` —
+  :meth:`ShardedDetectionService.reload_detector`, which swaps the parent
+  and every shard service.
 
 A second, separately trend-checked ``"shadow"`` section records what shadow
 evaluation (:mod:`repro.serve.lifecycle.shadow`) costs while a trial runs —
@@ -114,15 +115,9 @@ def run_bench(
     sharded = ShardedDetectionService(
         detector, n_workers=n_workers, mode="thread", threshold="auto"
     )
-    sharded._shard_services = [
-        sharded._make_shard_service() for _ in range(n_workers)
-    ]
-
-    def _swap_all_threads() -> None:
-        for shard_service in sharded._shard_services:
-            shard_service.reload_detector(candidate)
-
-    thread_swap_s = _best_time(_swap_all_threads, n_repeats, n_inner=100)
+    thread_swap_s = _best_time(
+        lambda: sharded.reload_detector(candidate), n_repeats, n_inner=100
+    )
     results[f"coordinated_swap[thread,w={n_workers}]"] = {
         "samples_per_sec": 1.0 / thread_swap_s,
         "swap_stall_s": thread_swap_s,

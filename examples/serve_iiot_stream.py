@@ -18,11 +18,11 @@ The deployment story of the paper, end to end:
    version and hot-swaps it in — every decision lands in the registry's
    ``history.jsonl`` lineage,
 4. with ``--workers N`` (N > 1), serve the same stream through a
-   **ShardedDetectionService** instead: batches fan out to N worker threads,
-   alerts and drift events re-merge in global stream order, per-shard drift
-   monitors *vote*, and on quorum the parent refits once and swaps every
-   worker at a round boundary (each batch is tagged with the model epoch
-   that scored it).
+   **ShardedDetectionService** instead: scoring fans out to N worker
+   threads, alerts and drift events are emitted in global stream order,
+   per-shard drift monitors *vote*, and on quorum the parent refits once and
+   swaps every worker from the next round on (each batch is tagged with the
+   model epoch that scored it).
 
 Run with::
 

@@ -40,7 +40,6 @@ PIPELINE_STAGES: dict[str, str] = {
     "sink_emit": "repro/serve/service.py",
     "shadow_score": "repro/serve/service.py",
     "round_submit": "repro/serve/parallel.py",
-    "round_merge": "repro/serve/parallel.py",
     "refit": "repro/serve/lifecycle/manager.py",
     "gate": "repro/serve/lifecycle/manager.py",
     "registry_publish": "repro/serve/lifecycle/manager.py",

@@ -3,8 +3,8 @@
 ``ShardedDetectionService`` keeps thread-sharded results bit-identical to the
 sequential service by construction: everything submitted to a worker pool is
 a pure function of its arguments (a staticmethod or module-level function),
-and all shared-state mutation happens in parent-only round-boundary code
-(merge, swap coordination).  This rule pins the submit side of
+and all shared-state mutation happens in parent-only code (the per-batch
+tail, the swap).  This rule pins the submit side of
 that contract inside any ``parallel.py`` under ``repro/serve/``:
 
 - for every ``<pool>.submit(target, ...)`` call, the ``target`` is resolved

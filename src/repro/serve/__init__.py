@@ -16,10 +16,11 @@ fitted detector into something that can be *deployed*:
   distribution shift and can trigger a refit-from-registry,
 * :mod:`repro.serve.fusion` — score-level fusion of several detectors
   (mean / max / conflict-aware PCR-style weighting) served as one model,
-* :mod:`repro.serve.parallel` — :class:`ShardedDetectionService`, fanning a
-  stream out to worker threads with deterministic (round-robin or
-  greedy least-loaded) sharding, a global-order merge of alerts and drift
-  events, and an epoch-tagged coordinated hot-swap on drift quorum,
+* :mod:`repro.serve.parallel` — :class:`ShardedDetectionService`, a
+  :class:`DetectionService` whose score stage fans out to worker threads
+  with deterministic (round-robin or greedy least-loaded) sharding, alerts
+  and drift events in global order, and an epoch-tagged coordinated
+  hot-swap on drift quorum,
 * :mod:`repro.serve.lifecycle` — :class:`LifecycleManager` and friends: the
   online *drift → refit → gate → publish → swap* loop (clean-window
   buffering, Full/Continual/NoRefit policies, quality gate),

@@ -7,7 +7,7 @@ Usage examples::
     repro serve --dataset wustl_iiot --scale 0.002 --detector iforest \
         --drift-strength 2.0 --threshold rolling
 
-    # shard the stream across 4 workers (alerts re-merge in stream order)
+    # score the stream on 4 worker threads (alerts stay in stream order)
     repro serve --dataset wustl_iiot --detector iforest --workers 4
 
     # publish the fitted model and serve from the registry afterwards
@@ -15,8 +15,8 @@ Usage examples::
     repro serve --dataset wustl_iiot --registry ./models --model knn-wustl_iiot
 
     # online refit: on drift, refit from the clean recent window, gate,
-    # republish and hot-swap (works sharded too: workers vote, the parent
-    # swaps everyone at a round boundary once the quorum is reached)
+    # republish and hot-swap (works sharded too: workers vote, and once the
+    # quorum is reached the swap covers every worker from the next round)
     repro serve --dataset wustl_iiot --detector iforest --threshold rolling \
         --registry ./models --publish --refit full --refit-window 4096
     repro serve --dataset wustl_iiot --detector iforest --threshold rolling \
@@ -155,10 +155,10 @@ def _parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=1,
         help="shard the stream across this many worker threads (1 = "
-        "sequential); batches are round-robin assigned and alerts re-merge "
-        "in stream order.  Without the native kernels scoring is GIL-bound "
-        "and threads lose to sequential (21k vs 44k rows/s on 2 cores): "
-        "use --workers 1 there",
+        "sequential); batches are round-robin assigned and alerts are "
+        "emitted in stream order.  Without the native kernels scoring is "
+        "GIL-bound and threads lose to sequential (21k vs 44k rows/s on 2 "
+        "cores): use --workers 1 there",
     )
     serve.add_argument(
         "--shard-mode", choices=["round_robin", "greedy"], default="round_robin",
@@ -172,7 +172,8 @@ def _parser() -> argparse.ArgumentParser:
         "on the clean recent window, 'continual' routes the window through "
         "the model's continual update path; candidates must pass a quality "
         "gate, are republished to --registry when given, and hot-swap the "
-        "served model (coordinated across --workers at a round boundary)",
+        "served model (with --workers > 1 the drift monitors vote, see "
+        "--quorum, and the swap covers every worker from the next round)",
     )
     serve.add_argument(
         "--refit-window", type=int, default=4096,
@@ -181,7 +182,7 @@ def _parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--quorum", type=float, default=0.5,
         help="with --workers > 1 and --refit: fraction of workers whose "
-        "drift monitors must vote before the parent coordinates a swap",
+        "drift monitors must vote before the lifecycle reacts to drift",
     )
     serve.add_argument(
         "--shadow-rounds", type=int, default=0,
@@ -255,7 +256,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--profile-mem", action="store_true",
-        help="sample RSS + tracemalloc after every merged batch into the "
+        help="sample RSS + tracemalloc after every batch into the "
         "metrics registry (mem.* gauges, per-stage byte histograms) and a "
         "'memory' section of run_summary.json",
     )
@@ -700,7 +701,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                 "--reload-on-drift requires the sequential service (--workers 1); "
                 "use --refit for the coordinated swap across workers"
             )
-        service: DetectionService | ShardedDetectionService = ShardedDetectionService(
+        service: DetectionService = ShardedDetectionService(
             detector,
             n_workers=args.workers,
             shard_mode=args.shard_mode,
@@ -718,7 +719,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
         print(
             f"sharding across {args.workers} thread workers "
-            f"({args.shard_mode} batches, global-order merge)"
+            f"({args.shard_mode} batches, events in stream order)"
         )
     else:
         monitor = DriftMonitor()
@@ -755,18 +756,18 @@ def _run_serve(args: argparse.Namespace) -> int:
         service.heartbeat = watchdog
 
         def _status_payload() -> dict:
-            lifecycle_ = getattr(service, "lifecycle", None)
             return {
                 "mode": "thread" if args.workers > 1 else "sequential",
                 "workers": args.workers,
-                "epoch": int(getattr(service, "epoch_", 0)),
+                "epoch": service.epoch_,
                 "serving_version": serving_version,
-                "n_batches": int(getattr(service, "n_batches_", 0)),
-                "n_samples": int(getattr(service, "n_samples_", 0)),
-                "n_alerts": int(getattr(service, "n_alerts_", 0)),
-                "disabled_sinks": int(getattr(service, "n_disabled_sinks_", 0)),
-                "shadow_trial_open": bool(
-                    getattr(lifecycle_, "shadow_pending", False)
+                "n_batches": service.n_batches_,
+                "n_samples": service.n_samples_,
+                "n_alerts": service.n_alerts_,
+                "disabled_sinks": service.n_disabled_sinks_,
+                "shadow_trial_open": (
+                    service.lifecycle is not None
+                    and service.lifecycle.shadow_pending()
                 ),
                 "profiling_memory": profiler is not None,
             }

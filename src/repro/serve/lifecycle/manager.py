@@ -242,12 +242,10 @@ class LifecycleManager:
     def produce_candidate(self, current: Any) -> tuple[Any | None, LifecycleEvent]:
         """Run refit + gate (+ publish) and return ``(candidate, event)``.
 
-        The caller is responsible for the actual swap — the sequential
-        service swaps itself (:meth:`handle_drift`), the sharded service
-        swaps every worker at the next round boundary.  ``candidate`` is
-        ``None`` when the current model should keep serving; the event's
-        ``swapped``/``epoch`` fields are filled in by the caller via
-        :meth:`record`.
+        The caller is responsible for the actual swap (:meth:`handle_drift`
+        swaps the service it is given).  ``candidate`` is ``None`` when the
+        current model should keep serving; the event's ``swapped``/``epoch``
+        fields are filled in by the caller via :meth:`record`.
 
         With a configured shadow evaluator a gate-passed candidate is *not*
         returned for swapping: it enters a shadow trial instead
@@ -385,9 +383,8 @@ class LifecycleManager:
         """Resolve a completed trial into ``(candidate, event)``, else ``None``.
 
         Mirrors :meth:`produce_candidate`'s contract: the caller applies the
-        swap (sequential service in-place, sharded service at the round
-        boundary so the verdict stays round-aligned) and fills in
-        ``swapped``/``epoch`` via :meth:`record`.  A passing verdict
+        swap (:meth:`handle_shadow`) and fills in ``swapped``/``epoch`` via
+        :meth:`record`.  A passing verdict
         publishes the candidate (the publish deferred at ``shadow_start``);
         a failing one discards it unpublished.
         """
@@ -418,7 +415,7 @@ class LifecycleManager:
         live_threshold: float,
         candidate_scores: np.ndarray,
     ) -> LifecycleEvent | None:
-        """Sequential-service shadow step: observe, and swap on a verdict.
+        """Shadow step for one double-scored batch: observe, swap on a verdict.
 
         Returns the recorded ``shadow_pass``/``shadow_reject`` event when the
         trial resolved on this batch, ``None`` while it is still running.
@@ -487,12 +484,15 @@ class LifecycleManager:
         emit_resilient(self.sinks, event)
         return event
 
-    # -- sequential swap ---------------------------------------------------------
+    # -- swap --------------------------------------------------------------------
     def handle_drift(self, service: Any, report: DriftReport) -> LifecycleEvent:
-        """Full loop for a sequential service: refit, gate, publish, swap.
+        """Full loop for one drift reaction: refit, gate, publish, swap.
 
         ``service`` must expose ``detector``, ``reload_detector`` and
-        ``epoch_`` (duck-typed: :class:`~repro.serve.service.DetectionService`).
+        ``epoch_`` (duck-typed: :class:`~repro.serve.service.DetectionService`;
+        a :class:`~repro.serve.parallel.ShardedDetectionService` calls this
+        once its shards' drift votes reach the quorum, and its
+        ``reload_detector`` swaps every shard).
 
         Only a *refit* swap rebootstraps the drift monitor's feature
         reference: the candidate was trained on the post-drift window, so

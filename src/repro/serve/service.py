@@ -40,7 +40,7 @@ from repro.metrics.thresholds import quantile_threshold
 from repro.serve.drift import DriftMonitor, DriftReport, _RingBuffer
 from repro.serve.faults import QuarantinedRows, emit_resilient, wrap_sinks
 from repro.serve.telemetry.context import TraceContext
-from repro.serve.telemetry.metrics import MetricsRegistry
+from repro.serve.telemetry.metrics import MetricsEvent, MetricsRegistry
 from repro.serve.telemetry.tracing import SpanBuffer, SpanTracer, trace_span
 from repro.utils.timing import Timer
 
@@ -52,27 +52,6 @@ __all__ = [
     "ServiceReport",
     "make_registry_reload",
 ]
-
-
-def _validate_stream_batch(
-    X: np.ndarray, n_features: int | None
-) -> tuple[np.ndarray, int]:
-    """Shared validate-once batch check (sequential and sharded services).
-
-    Returns the converted batch and the (possibly just-fixed) stream feature
-    width; raises with identical messages from every service flavor.
-    """
-    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    if X.ndim != 2:
-        raise ValueError(f"stream batches must be 2-D, got shape {X.shape}")
-    if n_features is None:
-        n_features = int(X.shape[1])
-    elif X.shape[1] != n_features:
-        raise ValueError(
-            f"stream batch has {X.shape[1]} features, "
-            f"stream started with {n_features}"
-        )
-    return X, n_features
 
 
 @dataclass(frozen=True)
@@ -140,6 +119,23 @@ class BatchResult:
     @property
     def n_alerts(self) -> int:
         return len(self.alerts)
+
+
+@dataclass(frozen=True)
+class _ScoredBatch:
+    """A batch after the score stage, waiting for the per-batch tail."""
+
+    index: int
+    X: np.ndarray  # the rows that were scored (quarantined rows removed)
+    scores: np.ndarray
+    predictions: np.ndarray
+    threshold: float
+    drift: DriftReport | None
+    latency_s: float
+    model_epoch: int
+    quarantined: tuple[int, ...]
+    quarantine_reason: str | None
+    shadow_scores: np.ndarray | None
 
 
 @dataclass
@@ -264,9 +260,11 @@ class DetectionService:
         recorded span deterministic ``trace_id``/``span_id``/
         ``parent_span_id`` fields: each batch runs under one ``batch`` span
         whose children are the stage spans.  Defaults to a fresh root
-        context whenever a ``tracer`` is attached; shard workers are handed
-        a per-round fork by the sharded service instead, so their batch
-        spans nest under the parent's ``round_submit`` span.
+        context whenever a ``tracer`` is attached.  The sharded service
+        hands each shard service a per-round fork instead, so a shard's
+        batch spans (score stage only) nest under the parent's
+        ``round_submit`` span, while the tail's ``sink_emit`` spans stay at
+        the root exactly as in a sequential run.
     metrics_every:
         Emit a :class:`~repro.serve.telemetry.MetricsEvent` carrying the
         current metrics snapshot through the sinks every N batches
@@ -347,6 +345,9 @@ class DetectionService:
         self._m_batch_rows = self.telemetry.histogram(
             "pipeline.batch_rows", unit="rows"
         )
+        self._m_sink_disabled = self.telemetry.counter(
+            "pipeline.sink_disabled", unit="sinks"
+        )
         # The lifecycle manager inherits this service's telemetry channel
         # unless it was wired to its own (refit/gate/publish spans land in
         # the same registry the batch spans do).
@@ -404,7 +405,17 @@ class DetectionService:
 
     # -- scoring -----------------------------------------------------------------
     def _validate_once(self, X: np.ndarray) -> np.ndarray:
-        X, self.n_features_ = _validate_stream_batch(X, self.n_features_)
+        """The stream's feature contract: 2-D, width fixed by the first batch."""
+        X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+        if X.ndim != 2:
+            raise ValueError(f"stream batches must be 2-D, got shape {X.shape}")
+        if self.n_features_ is None:
+            self.n_features_ = int(X.shape[1])
+        elif X.shape[1] != self.n_features_:
+            raise ValueError(
+                f"stream batch has {X.shape[1]} features, "
+                f"stream started with {self.n_features_}"
+            )
         return X
 
     def _score_micro_batched(
@@ -467,15 +478,29 @@ class DetectionService:
         # sinkless shard workers record no emit spans, so folding their
         # registries into the sink-owning parent's matches a sequential run.
         # Emit spans parent to the *root* context, not the current batch: the
-        # sharded parent emits at merge time (outside any batch span), so
-        # root-level sink_emit is the one placement every mode agrees on.
+        # sharded parent runs the per-batch tail outside the shards' batch
+        # spans, so root-level sink_emit is the one placement every mode
+        # agrees on.
         with trace_span(
             "sink_emit",
             metrics=self.telemetry,
             tracer=self.tracer,
             context=self.trace_context,
         ):
-            self.n_disabled_sinks_ += len(emit_resilient(self.sinks, event))
+            disabled = len(emit_resilient(self.sinks, event))
+        if disabled:
+            self.n_disabled_sinks_ += disabled
+            self._m_sink_disabled.inc(disabled)
+
+    def _batch_span(self, batch_index: int) -> trace_span:
+        """The span one batch runs under; its stage spans nest inside."""
+        return trace_span(
+            "batch",
+            metrics=self.telemetry,
+            tracer=self.tracer,
+            batch_index=batch_index,
+            context=self.trace_context,
+        )
 
     def process_batch(self, X: np.ndarray) -> BatchResult:
         """Score one batch: thresholds, alerts, drift, counters.
@@ -493,29 +518,33 @@ class DetectionService:
         window.  They also do not consume sample indices, so the surviving
         alerts are identical to a run on the stream with those rows deleted.
 
-        The whole batch runs under one ``batch`` span; with a trace context
-        the stage spans inside nest under it, so every batch forms one
-        subtree of the trace in every worker mode.  The heartbeat watchdog
-        and the memory profiler (when attached) fire once per completed
-        batch, outside the span.
+        The batch runs in two stages under one ``batch`` span: the
+        worker-safe score stage (:meth:`_score_stage`) and the per-batch
+        tail (:meth:`_finish_batch`).  With a trace context the stage spans
+        nest under the batch span, so every batch forms one subtree of the
+        trace in every worker mode.
         """
-        with trace_span(
-            "batch",
-            metrics=self.telemetry,
-            tracer=self.tracer,
-            batch_index=self.n_batches_,
-            context=self.trace_context,
-        ) as batch_span:
-            result = self._process_batch(X, batch_span)
-        if self.heartbeat is not None:
-            self.heartbeat.beat()
-        if self.profiler is not None:
-            self.profiler.sample("batch")
-        return result
+        with self._batch_span(self.n_batches_) as batch_span:
+            # Resolved before scoring: a trial that *starts* during this
+            # batch's drift reaction begins shadow-scoring on the next batch.
+            shadow_detector = getattr(self.lifecycle, "shadow_candidate", None)
+            scored = self._score_stage(X, batch_span, shadow_detector)
+            return self._finish_batch(scored)
 
-    def _process_batch(self, X: np.ndarray, batch_span: trace_span) -> BatchResult:
-        """The ``batch``-span body: quarantine, score, threshold, drift."""
+    def _score_stage(
+        self, X: np.ndarray, batch_span: trace_span, shadow_detector: Any
+    ) -> _ScoredBatch:
+        """Quarantine scan, score, threshold, shadow score, drift check.
+
+        Touches only this service's own rolling window, drift monitor,
+        registry and tracer, and emits nothing — so the sharded service runs
+        it on worker threads, one shard service per worker.  Everything that
+        must happen in stream order is left to :meth:`_finish_batch`.
+        """
         ctx = batch_span.ctx
+        batch_index = batch_span.batch_index
+        quarantined: tuple[int, ...] = ()
+        quarantine_reason: str | None = None
         if self.quarantine_wrong_width:
             raw = np.asarray(X)
             if (
@@ -523,48 +552,30 @@ class DetectionService:
                 and self.n_features_ is not None
                 and raw.shape[1] != self.n_features_
             ):
-                return self._quarantine_batch(
-                    int(raw.shape[0]),
+                # The whole batch is diverted; what is left is a zero-row
+                # batch: counted, nothing scored, threshold ``nan``.
+                quarantined = tuple(range(raw.shape[0]))
+                quarantine_reason = (
                     f"batch has {raw.shape[1]} features, "
-                    f"stream started with {self.n_features_}",
+                    f"stream started with {self.n_features_}"
                 )
+                X = np.empty((0, self.n_features_))
         X = self._validate_once(X)
-        quarantined: tuple[int, ...] = ()
-        quarantine_reason: str | None = None
         if X.shape[0]:
             with trace_span(
                 "quarantine_scan",
                 metrics=self.telemetry,
                 tracer=self.tracer,
                 rows=int(X.shape[0]),
-                batch_index=self.n_batches_,
+                batch_index=batch_index,
                 context=ctx,
             ):
                 finite = np.isfinite(X).all(axis=1)
                 if not finite.all():
                     quarantined = tuple(int(i) for i in np.flatnonzero(~finite))
+                    quarantine_reason = "non-finite feature values"
                     X = np.ascontiguousarray(X[finite])
-            if quarantined:
-                quarantine_reason = "non-finite feature values"
-                self.n_quarantined_ += len(quarantined)
-                self._m_quarantined.inc(len(quarantined))
-                self._emit(
-                    QuarantinedRows(
-                        batch_index=self.n_batches_,
-                        row_indices=quarantined,
-                        reason=quarantine_reason,
-                    )
-                )
-        batch_index = self.n_batches_
-        offset = self.n_samples_
-        model_epoch = self.epoch_  # a drift-triggered swap below must not retag
-        # Resolved before scoring: a trial that *starts* during this batch's
-        # drift reaction begins shadow-scoring on the next batch.
-        shadow_detector = (
-            getattr(self.lifecycle, "shadow_candidate", None)
-            if self.lifecycle is not None
-            else None
-        )
+        model_epoch = self.epoch_  # a swap in the tail must not retag
         shadow_scores: np.ndarray | None = None
         accumulated = self.timer.total
         n_rows = int(X.shape[0])
@@ -612,8 +623,56 @@ class DetectionService:
                 threshold = float("nan")
                 predictions = np.empty(0, dtype=np.int64)
         latency = self.timer.total - accumulated
+        drift_report: DriftReport | None = None
         if scores.size:
             self._record_fusion_diagnostics()
+            if self.drift_monitor is not None:
+                with trace_span(
+                    "drift_check",
+                    metrics=self.telemetry,
+                    tracer=self.tracer,
+                    rows=int(scores.size),
+                    batch_index=batch_index,
+                    context=ctx,
+                ):
+                    drift_report = self.drift_monitor.update(scores, X)
+        return _ScoredBatch(
+            index=batch_index,
+            X=X,
+            scores=scores,
+            predictions=predictions,
+            threshold=threshold,
+            drift=drift_report,
+            latency_s=latency,
+            model_epoch=model_epoch,
+            quarantined=quarantined,
+            quarantine_reason=quarantine_reason,
+            shadow_scores=shadow_scores,
+        )
+
+    def _finish_batch(self, scored: _ScoredBatch) -> BatchResult:
+        """The per-batch tail, run in stream order.
+
+        Quarantine announcement, alerts, the lifecycle's refit window, the
+        drift reaction, the shadow trial, counters, the periodic metrics
+        event and the heartbeat/profiler hooks.  The batch and sample
+        indices come from this service's counters, so the sharded parent —
+        which runs this tail for each batch in global order — hands out
+        global indices exactly like a sequential run.
+        """
+        batch_index = self.n_batches_
+        offset = self.n_samples_
+        scores, threshold, drift_report = scored.scores, scored.threshold, scored.drift
+        if scored.quarantined:
+            self.n_quarantined_ += len(scored.quarantined)
+            self._m_quarantined.inc(len(scored.quarantined))
+            self._emit(
+                QuarantinedRows(
+                    batch_index=batch_index,
+                    row_indices=scored.quarantined,
+                    reason=scored.quarantine_reason,
+                )
+            )
         alerts = tuple(
             Alert(
                 batch_index=batch_index,
@@ -621,95 +680,68 @@ class DetectionService:
                 score=float(scores[i]),
                 threshold=threshold,
             )
-            for i in np.flatnonzero(predictions)
+            for i in np.flatnonzero(scored.predictions)
         )
         for alert in alerts:
             self._emit(alert)
-
-        drift_report: DriftReport | None = None
-        if self.drift_monitor is not None and scores.size:
-            with trace_span(
-                "drift_check",
-                metrics=self.telemetry,
-                tracer=self.tracer,
-                rows=int(scores.size),
-                batch_index=batch_index,
-                context=ctx,
-            ):
-                drift_report = self.drift_monitor.update(scores, X)
         # Clean rows feed the refit window *before* any drift reaction: the
         # batch that fired the monitor is skipped by observe_batch, so the
         # acute transition never enters the window.
         if self.lifecycle is not None and scores.size:
-            self.lifecycle.observe_batch(X, scores, threshold, drift_report)
+            self.lifecycle.observe_batch(scored.X, scores, threshold, drift_report)
         if drift_report is not None and drift_report.drifted:
             self.n_drift_events_ += 1
             self._m_drift.inc()
             self.drift_batches_.append(batch_index)
             self._emit(DriftEvent(batch_index=batch_index, report=drift_report))
-            if self.lifecycle is not None:
-                self.lifecycle.handle_drift(self, drift_report)
-            elif self.on_drift is not None:
-                self.on_drift(self, drift_report)
+            self._react_to_drift(scored)
         # After the drift reaction (a pending trial makes handle_drift skip),
         # feed the shadow trial; a completed trial swaps (shadow_pass) or
         # discards the candidate (shadow_reject) — only then does epoch_ move.
-        if shadow_scores is not None and self.lifecycle is not None:
-            self.lifecycle.handle_shadow(self, scores, threshold, shadow_scores)
+        if scored.shadow_scores is not None:
+            self._feed_shadow(scored)
 
+        n_rows = int(scores.shape[0])
         self.n_batches_ += 1
-        self.n_samples_ += int(scores.shape[0])
+        self.n_samples_ += n_rows
         self.n_alerts_ += len(alerts)
         self._m_batches.inc()
-        self._m_rows.inc(int(scores.shape[0]))
+        self._m_rows.inc(n_rows)
         self._m_alerts.inc(len(alerts))
-        self._m_batch_seconds.observe(latency)
-        self._m_batch_rows.observe(float(scores.shape[0]))
+        self._m_batch_seconds.observe(scored.latency_s)
+        self._m_batch_rows.observe(float(n_rows))
         if self.metrics_every and self.n_batches_ % self.metrics_every == 0:
-            self._emit(self.telemetry.event(batch_index))
+            self._emit(
+                MetricsEvent(batch_index=batch_index, snapshot=self.metrics_snapshot())
+            )
+        if self.heartbeat is not None:
+            self.heartbeat.beat()
+        if self.profiler is not None:
+            self.profiler.sample("batch")
         return BatchResult(
             index=batch_index,
             scores=scores,
-            predictions=predictions,
+            predictions=scored.predictions,
             threshold=threshold,
             alerts=alerts,
             drift=drift_report,
-            latency_s=latency,
-            model_epoch=model_epoch,
-            quarantined=quarantined,
-            quarantine_reason=quarantine_reason,
+            latency_s=scored.latency_s,
+            model_epoch=scored.model_epoch,
+            quarantined=scored.quarantined,
+            quarantine_reason=scored.quarantine_reason,
         )
 
-    def _quarantine_batch(self, n_rows: int, reason: str) -> BatchResult:
-        """Divert a whole contract-breaking batch to quarantine.
+    def _react_to_drift(self, scored: _ScoredBatch) -> None:
+        """Drift reaction to a firing batch: the lifecycle loop or on_drift."""
+        if self.lifecycle is not None:
+            self.lifecycle.handle_drift(self, scored.drift)
+        elif self.on_drift is not None:
+            self.on_drift(self, scored.drift)
 
-        Mirrors the zero-row path — the batch is counted, nothing is scored,
-        the threshold is ``nan`` — plus a :class:`QuarantinedRows` event
-        naming every row.
-        """
-        batch_index = self.n_batches_
-        indices = tuple(range(n_rows))
-        self.n_quarantined_ += n_rows
-        self._m_quarantined.inc(n_rows)
-        self._emit(
-            QuarantinedRows(
-                batch_index=batch_index, row_indices=indices, reason=reason
-            )
-        )
-        self.n_batches_ += 1
-        self._m_batches.inc()
-        self._m_batch_rows.observe(0.0)
-        return BatchResult(
-            index=batch_index,
-            scores=np.empty(0, dtype=np.float64),
-            predictions=np.empty(0, dtype=np.int64),
-            threshold=float("nan"),
-            alerts=(),
-            drift=None,
-            latency_s=0.0,
-            model_epoch=self.epoch_,
-            quarantined=indices,
-            quarantine_reason=reason,
+    def _feed_shadow(self, scored: _ScoredBatch) -> Any:
+        """Feed the open shadow trial; returns its verdict event, if any."""
+        return self.lifecycle.handle_shadow(
+            self, scored.scores, scored.threshold, scored.shadow_scores
         )
 
     # -- stream consumption ------------------------------------------------------

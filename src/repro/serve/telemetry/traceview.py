@@ -17,7 +17,7 @@ structure), and derives:
 :func:`tree_shape` and :func:`stage_multiset` are the comparison helpers the
 cross-mode tests use: sequential and thread runs of one stream must
 produce identical shapes (after eliding the coordinator-only
-``round_submit``/``round_merge`` wrappers when comparing against sequential).
+``round_submit`` wrapper when comparing against sequential).
 
 The reader is tolerant by design: a line that does not parse as a JSON
 object (e.g. the torn tail of a run killed harder than SIGTERM) is skipped,

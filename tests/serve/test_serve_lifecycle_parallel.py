@@ -3,7 +3,7 @@
 The contract under test (see :mod:`repro.serve.parallel`):
 
 * per-shard drift monitors only *vote*; the parent refits once on quorum and
-  swaps every worker at a round boundary, so within any round all shards
+  swaps every worker from the next round on, so within any round all shards
   score with the same epoch-tagged model;
 * on a stream with injected covariate drift (``datasets.streaming``), the
   service detects drift, refits from the clean window, republishes to the
@@ -11,7 +11,7 @@ The contract under test (see :mod:`repro.serve.parallel`):
   tolerance of a model fit directly on post-drift data — sequential and
   sharded;
 * the opt-in greedy shard assignment stays deterministic and keeps the
-  global-order merge.
+  global stream order.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ from repro.serve import (
     LifecycleManager,
     ListSink,
     ModelRegistry,
+    ShadowEvaluator,
     ShardedDetectionService,
     WindowBuffer,
 )
+from repro.serve.drift import DriftReport
 
 BATCH = 128
 QUANTILE = 0.90
@@ -186,6 +188,10 @@ class TestEndToEndRecovery:
             next(iter(epochs_per_round[r])) for r in sorted(epochs_per_round)
         ]
         assert ordered == sorted(ordered)
+        # a swap lands mid-tail, and the rest of that round was scored by the
+        # superseded model: its firings cast no vote, so the epoch rises by
+        # at most one per round
+        assert all(b - a <= 1 for a, b in zip([0, *ordered], ordered))
         _assert_recovered(X, y, results, service.epoch_, detector)
 
 
@@ -221,6 +227,54 @@ class TestCoordination:
                 pending.clear()
         assert swaps_seen >= 1
         assert voters_before_swap == {0, 1}
+
+    def test_a_trial_never_sees_shadow_scores_from_before_it_opened(self):
+        # batches_per_round=4 with 2 workers: rounds of 8 batches.  Batch 15
+        # closes round 1 and opens trial 1; round 2 is double-scored with its
+        # candidate, and the one-batch trial is rejected at batch 16.  Batch
+        # 17's firing then opens trial 2 mid-round: the rest of round 2 still
+        # carries trial 1's candidate scores, so trial 2 must wait for round 3.
+        class _MarkerMonitor:
+            def update(self, scores, X):
+                return DriftReport(
+                    drifted=bool(X[0, 0] > 50.0), score_shift=0.0,
+                    feature_shift=0.0, threshold=0.0, n_samples_seen=len(scores),
+                )
+
+            def reset(self, **kwargs):
+                pass
+
+        rng = np.random.default_rng(0)
+        detector = _factory().fit(rng.normal(size=(500, 4)))
+        batches = [rng.normal(size=(32, 4)) for _ in range(32)]
+        for g in (15, 17):
+            batches[g][0, 0] = 100.0
+        manager = LifecycleManager(
+            FullRefit(_factory),
+            min_refit_rows=64,
+            # far too few rows for a verdict: every trial ends in a reject
+            shadow=ShadowEvaluator(rounds=1, min_samples=10_000),
+        )
+        service = ShardedDetectionService(
+            detector,
+            n_workers=2,
+            threshold="auto",
+            drift_monitor_factory=_MarkerMonitor,
+            lifecycle=manager,
+            quorum=0.5,
+        )
+        decided_at: list[tuple[str, int]] = []
+        for result in service.process(batches):
+            decided_at.extend(
+                (event.action, result.index)
+                for event in manager.events[len(decided_at):]
+            )
+        assert decided_at == [
+            ("shadow_start", 15),
+            ("shadow_reject", 16),
+            ("shadow_start", 17),
+            ("shadow_reject", 24),
+        ]
 
     def test_lifecycle_requires_drift_monitor_factory(self, drifted_stream):
         _, _, _, detector = drifted_stream

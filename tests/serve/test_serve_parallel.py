@@ -97,16 +97,51 @@ class TestShardedEquivalence:
         np.testing.assert_array_equal(merged, detector.score_samples(stream.X))
 
     def test_single_worker_degenerates_to_sequential(self, stream_setup):
-        dataset, _, detector = stream_setup
-        stream = FlowStream(dataset, batch_size=200, random_state=0)
-        sequential = DetectionService(detector, threshold="auto")
-        seq_scores = np.concatenate(
-            [r.scores for r in sequential.process(stream)]
+        # One shard sees the whole stream in order, so its rolling window and
+        # drift monitor match the sequential service's batch for batch.
+        dataset, normal, detector = stream_setup
+        import functools
+
+        from repro.serve.cli import _make_drift_monitor
+
+        factory = functools.partial(
+            _make_drift_monitor, detector.score_samples(normal), normal
         )
-        stream2 = FlowStream(dataset, batch_size=200, random_state=0)
-        sharded = ShardedDetectionService(detector, n_workers=1, threshold="auto")
-        shard_scores = np.concatenate([r.scores for r in sharded.process(stream2)])
-        np.testing.assert_array_equal(seq_scores, shard_scores)
+
+        def stream():
+            return FlowStream(
+                dataset, batch_size=200, drift_strength=3.0, random_state=0
+            )
+
+        for threshold in ("auto", "rolling"):
+            seq_sink = ListSink()
+            sequential = DetectionService(
+                detector,
+                threshold=threshold,
+                drift_monitor=factory(),
+                sinks=[seq_sink],
+            )
+            seq_results = list(sequential.process(stream()))
+            shard_sink = ListSink()
+            sharded = ShardedDetectionService(
+                detector,
+                n_workers=1,
+                threshold=threshold,
+                drift_monitor_factory=factory,
+                sinks=[shard_sink],
+            )
+            shard_results = list(sharded.process(stream()))
+
+            assert len(shard_results) == len(seq_results), threshold
+            for seq_r, shard_r in zip(seq_results, shard_results):
+                np.testing.assert_array_equal(seq_r.scores, shard_r.scores)
+                np.testing.assert_array_equal(seq_r.predictions, shard_r.predictions)
+                assert seq_r.threshold == shard_r.threshold, threshold
+            assert _alert_tuples(shard_sink.events) == _alert_tuples(
+                seq_sink.events
+            ), threshold
+            assert sequential.drift_batches_, threshold  # drift was exercised
+            assert sharded.drift_batches_ == sequential.drift_batches_, threshold
 
 
 class TestRaggedAndEmptyBatches:
@@ -129,6 +164,16 @@ class TestRaggedAndEmptyBatches:
         assert report.n_samples == 120
         merged = np.concatenate([r.scores for r in results])
         np.testing.assert_array_equal(merged, detector.score_samples(normal[:120]))
+
+    def test_process_batch_reaches_the_shards_in_global_order(self, stream_setup):
+        _, normal, detector = stream_setup
+        sharded = ShardedDetectionService(detector, n_workers=2, threshold="auto")
+        first = sharded.process_batch(normal[:30])
+        rest = list(sharded.process([normal[30:50], normal[50:90]]))
+        assert [first.index] + [r.index for r in rest] == [0, 1, 2]
+        assert [s.timer.n_calls for s in sharded._shard_services] == [2, 1]
+        merged = np.concatenate([first.scores] + [r.scores for r in rest])
+        np.testing.assert_array_equal(merged, detector.score_samples(normal[:90]))
 
     def test_alert_indices_skip_empty_batches_correctly(self, stream_setup):
         _, normal, detector = stream_setup

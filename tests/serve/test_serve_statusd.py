@@ -294,3 +294,35 @@ class TestCloseBeforeStart:
         server.close()
         # A second close on the stopped server must not deadlock either.
         server.close()
+
+
+class TestCliStatusPayload:
+    def test_shadow_trial_flag_reports_the_trial_not_the_refit_flag(
+        self, monkeypatch
+    ):
+        from repro.serve import cli
+
+        captured = {}
+
+        class _Recorder:
+            def __init__(self, port, *, snapshot_fn, status_fn, watchdog):
+                captured["status_fn"] = status_fn
+
+            def start(self):
+                return self
+
+            def url(self, path):
+                return f"http://127.0.0.1:0{path}"
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(cli, "StatusServer", _Recorder)
+        cli.main([
+            "serve", "--dataset", "wustl_iiot", "--scale", "0.0015",
+            "--detector", "iforest", "--refit", "full", "--status-port", "0",
+        ])
+        payload = captured["status_fn"]()
+        # --refit without --shadow-rounds never opens a shadow trial
+        assert payload["shadow_trial_open"] is False
+        assert payload["n_batches"] > 0

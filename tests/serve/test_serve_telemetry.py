@@ -302,6 +302,25 @@ class TestServiceTelemetry:
         last = metrics_events[-1].snapshot
         assert last["counters"]["pipeline.batches"]["value"] > 0
 
+    def test_sequential_exports_disabled_sinks(self, stream_setup):
+        _, normal, detector = stream_setup
+
+        class _Broken:
+            def emit(self, event):
+                raise OSError("disk full")
+
+            def close(self):
+                pass
+
+        service = DetectionService(
+            detector, threshold=-np.inf, sinks=[_Broken(), ListSink()]
+        )
+        for start in range(0, 40, 8):
+            service.process_batch(normal[start : start + 8])
+        assert service.report().n_disabled_sinks == 1
+        counters = service.metrics_snapshot()["counters"]
+        assert counters["pipeline.sink_disabled"]["value"] == 1
+
     def test_metrics_every_validation(self, stream_setup):
         _, _, detector = stream_setup
         with pytest.raises(ValueError):
