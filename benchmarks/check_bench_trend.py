@@ -6,15 +6,16 @@ repository root and exits non-zero when any shared entry regressed by more
 than ``--threshold`` (default 20%) in ``samples_per_sec``, or when a
 previously benchmarked model disappeared.  New entries are informational.
 
-Six sections are guarded: the single-core inference numbers under
+Seven sections are guarded: the single-core inference numbers under
 ``"results"``, the multi-core numbers under ``"parallel" -> "results"``
 (written by ``run_parallel_bench.py``), the refit/swap costs under
 ``"lifecycle" -> "results"`` and the double-scoring costs under
 ``"shadow" -> "results"`` (both written by ``run_lifecycle_bench.py``), the
-fault-layer costs under ``"faults" -> "results"`` and the instrumentation
-costs under ``"telemetry" -> "results"``; the extra sections are reported
-with a ``parallel:`` / ``lifecycle:`` / ``shadow:`` / ``faults:`` /
-``telemetry:`` name prefix.  A fresh payload that omits an extra section
+fault-layer costs under ``"faults" -> "results"``, the instrumentation
+costs under ``"telemetry" -> "results"`` and the lint costs under
+``"analysis" -> "results"`` (written by ``run_analysis_bench.py``); the
+extra sections are reported with a ``parallel:`` / ``lifecycle:`` /
+``shadow:`` / ``faults:`` / ``telemetry:`` / ``analysis:`` name prefix.  A fresh payload that omits an extra section
 entirely skips that comparison with a note — so a quick sequential-only
 measurement stays usable — but once both sides carry a section, a vanished
 or slowed entry fails the check like any other.  An entry whose baseline

@@ -1,26 +1,19 @@
-"""Static-analysis benchmark: what a full reprolint pass costs, and what the
-incremental cache gives back.
+"""Static-analysis benchmark: what a full reprolint pass costs.
 
-``repro lint`` runs in the tier-1 gate and in the pre-commit recipe, so its
-wall-clock is developer-facing latency: a linter that takes seconds per
-commit gets skipped, and a cache that silently stops hitting re-inflicts the
-cold cost on every run.  This benchmark pins both under the ``"analysis"``
-key of ``BENCH_inference.json`` and ``check_bench_trend.py`` fails the build
-when any entry regresses:
+``repro lint`` runs in the tier-1 gate, so its wall-clock is
+developer-facing latency: a linter that takes seconds per run gets skipped.
+This benchmark pins it under the ``"analysis"`` key of
+``BENCH_inference.json`` and ``check_bench_trend.py`` fails the build when
+any entry regresses:
 
 * ``lint_full[cold]`` — the full two-pass lint (parse, symbol table, call
-  graph, all twelve rules) over the real ``src/repro`` tree with no cache,
-  in files per second;
-* ``lint_full[warm_cache]`` — the same tree against a fully warm
-  :class:`~repro.analysis.cache.LintCache` (content hashes unchanged, so
-  per-module work is reused and only the cross-module ``finalize`` passes
-  re-run); ``speedup_vs_cold`` on this entry is the cache's whole value
-  proposition — the acceptance bound is >= 5x;
+  graph, all twelve rules) over the real ``src/repro`` tree, in files per
+  second;
 * ``parse[tree]`` — bare ``ast`` parsing of every module, in files per
   second (the floor any lint run pays before rules see a node);
 * ``project_graph[build]`` — pass-1 :func:`~repro.analysis.build_project`
   (symbol table + import graph + call graph) over the parsed tree, in
-  modules per second (paid on every cold run and every ``finalize`` pass).
+  modules per second (paid on every lint run).
 
 Usage::
 
@@ -31,12 +24,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import tempfile
 from pathlib import Path
 
 from repro._version import __version__
 from repro.analysis import LintContext, build_project, parse_module, run_lint
-from repro.analysis.cache import LintCache
 from run_lifecycle_bench import DEFAULT_OUTPUT, _best_time, write_report
 
 __all__ = ["run_bench", "write_report", "DEFAULT_OUTPUT", "main"]
@@ -55,7 +46,7 @@ def run_bench(
     paths = [tree]
 
     # One probe run supplies the file count and a parsed module set for the
-    # graph-build arm (a warm run skips parsing, so its context is empty).
+    # graph-build arm.
     probe = run_lint(paths)
     n_files = probe.context.n_files
 
@@ -66,18 +57,6 @@ def run_bench(
         "samples_per_sec": n_files / cold_s,
         "wall_s": cold_s,
         "n_files": n_files,
-    }
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cache_path = Path(tmp) / "reprolint-cache.json"
-        run_lint(paths, cache=LintCache(cache_path))  # populate
-        warm_s = _best_time(
-            lambda: run_lint(paths, cache=LintCache(cache_path)), n_repeats
-        )
-    results["lint_full[warm_cache]"] = {
-        "samples_per_sec": n_files / warm_s,
-        "wall_s": warm_s,
-        "speedup_vs_cold": cold_s / warm_s,
     }
 
     sources = [
@@ -131,8 +110,6 @@ def main(argv: list[str] | None = None) -> int:
     path = write_report(payload, args.output, section="analysis")
     for name, entry in payload["results"].items():
         line = f"{name:28s} {entry['samples_per_sec']:>12.0f} files/s"
-        if "speedup_vs_cold" in entry:
-            line += f"  ({entry['speedup_vs_cold']:.0f}x cold)"
         if "wall_s" in entry:
             line += f"  ({1e3 * entry['wall_s']:.1f} ms)"
         print(line)

@@ -1,11 +1,8 @@
-"""Benchmark: reprolint full-tree latency and the incremental-cache payoff.
+"""Benchmark: reprolint full-tree latency.
 
 Writes the ``"analysis"`` section of ``BENCH_inference.json`` (the trend
-check compares it across PRs) and pins the acceptance bound that justifies
-the cache's existence: a warm-cache full-tree lint must be at least 5x
-faster than a cold one.  A broken hash comparison, an over-eager
-invalidation, or per-module work leaking into the full-hit path all show up
-here as the speedup collapsing toward 1x.
+check compares it across PRs) and pins the cold-lint and graph-build
+bounds.
 """
 
 from __future__ import annotations
@@ -22,17 +19,9 @@ def test_bench_analysis_speed():
     for name, entry in results.items():
         assert entry["samples_per_sec"] > 0.0, name
 
-    # The cache's whole value proposition: a no-change re-lint costs file
-    # hashing plus the finalize passes, never the per-module rule walks.
-    # The real margin is two orders of magnitude; 5x is the acceptance
-    # bound, generous enough to absorb a loaded CI box.
-    warm = results["lint_full[warm_cache]"]
-    assert warm["speedup_vs_cold"] >= 5.0
-
-    # A cold full-tree lint runs in the tier-1 gate and the pre-commit
-    # recipe — developer-facing latency.  The real tree lints at hundreds
-    # of files per second; below ~5/s the gate would be painful enough
-    # that people start skipping it.
+    # A cold full-tree lint runs in the tier-1 gate — developer-facing
+    # latency.  Below ~5 files/s the gate would be painful enough that
+    # people start skipping it.
     cold = results["lint_full[cold]"]
     assert cold["samples_per_sec"] > 5.0
 

@@ -9,19 +9,17 @@ runs them through one shared parse (:func:`run_lint`), grandfathers
 deliberate exceptions through a committed baseline
 (:mod:`repro.analysis.baseline`), and reports in three formats — compiler
 text, ``read_events``-compatible JSONL, and sectioned MET/NOT_MET verdicts
-(:mod:`repro.analysis.report`).  Since v2 the engine is two-pass: pass 1
-builds a whole-tree symbol table and call graph
-(:mod:`repro.analysis.project`) that cross-module rules and the
-incremental cache (:mod:`repro.analysis.cache`) consume; safe autofixes
-live in :mod:`repro.analysis.fix`.  ``repro lint`` is the CLI; the tier-1
-test ``tests/analysis/test_lint_src_clean.py`` is the gate that keeps
-``src/`` clean forever.
+(:mod:`repro.analysis.report`).  The engine is two-pass: pass 1 builds a
+whole-tree symbol table and call graph (:mod:`repro.analysis.project`) that
+the cross-module rules consume.  Each run parses and checks every file it
+is given; nothing is cached between runs.  ``repro lint`` is the CLI; the
+tier-1 test ``tests/analysis/test_lint_src_clean.py`` is the gate that
+keeps ``src/`` clean forever.
 """
 
 from __future__ import annotations
 
 from repro.analysis.baseline import Baseline, BaselineEntry, write_baseline
-from repro.analysis.cache import CachePlan, LintCache
 from repro.analysis.engine import (
     LintContext,
     LintResult,
@@ -31,7 +29,6 @@ from repro.analysis.engine import (
     run_lint,
 )
 from repro.analysis.findings import Finding
-from repro.analysis.fix import FixEdit, apply_fixes, plan_fixes, render_diff
 from repro.analysis.project import ProjectGraph, build_project, function_key
 from repro.analysis.report import (
     build_lint_report,
@@ -46,17 +43,13 @@ from repro.analysis.rules import RULE_CLASSES, Rule, default_rules, rules_by_id
 __all__ = [
     "Baseline",
     "BaselineEntry",
-    "CachePlan",
     "Finding",
-    "FixEdit",
-    "LintCache",
     "LintContext",
     "LintResult",
     "ParsedModule",
     "ProjectGraph",
     "RULE_CLASSES",
     "Rule",
-    "apply_fixes",
     "build_lint_report",
     "build_project",
     "default_rules",
@@ -64,8 +57,6 @@ __all__ = [
     "lint_parsed",
     "load_lint_events",
     "parse_module",
-    "plan_fixes",
-    "render_diff",
     "render_lint_markdown",
     "render_text",
     "rules_by_id",

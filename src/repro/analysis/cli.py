@@ -8,35 +8,26 @@ Usage::
     repro lint --format report src/repro
     repro lint --rules RL001,RL005 src/repro
     repro lint --write-baseline src/repro
-    repro lint --changed                # only git-modified files (pre-commit)
-    repro lint --fix --dry-run          # preview safe autofixes as a diff
-    repro lint --fix                    # apply them
     repro lint --list-rules
 
 Exit codes: ``0`` — no new findings (baselined ones are reported but do not
 fail), ``1`` — at least one new finding, ``2`` — usage error (bad path,
 unknown rule, unreadable baseline).  The baseline defaults to
 ``.reprolint-baseline.json`` in the current directory when present; pass
-``--no-baseline`` to see everything fail again.
-
-Full-tree runs keep an incremental cache (``.reprolint-cache.json``) so an
-unchanged tree re-lints from stored findings; ``--rules`` subsets and
-``--changed`` runs bypass it, and ``--no-cache`` disables it outright.
+``--no-baseline`` to see everything fail again.  ``--write-baseline``
+needs the full rule set, so combining it with ``--rules`` is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline, write_baseline
-from repro.analysis.cache import DEFAULT_CACHE_PATH, LintCache
 from repro.analysis.engine import run_lint
-from repro.analysis.fix import apply_fixes, plan_fixes, render_diff
 from repro.analysis.report import (
     build_lint_report,
     render_lint_markdown,
@@ -92,8 +83,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--write-baseline",
         action="store_true",
-        help="rewrite the baseline file from the current findings "
-        "(existing reasons are preserved; new entries get a placeholder)",
+        help="rewrite the baseline file from the current findings of every "
+        "rule (existing reasons are preserved, fixed entries are dropped, new "
+        "entries get a placeholder; cannot be combined with --rules)",
     )
     parser.add_argument(
         "--docs",
@@ -105,85 +97,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
     )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files git reports as modified or untracked "
-        "(falls back to a full run outside a git checkout)",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply safe autofixes: repair __all__ blocks (RL008), prune "
-        "stale baseline entries, and scaffold suppressions (--fix-suppress)",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="with --fix: print the would-be changes as a unified diff "
-        "without writing anything",
-    )
-    parser.add_argument(
-        "--fix-suppress",
-        action="append",
-        default=None,
-        metavar="RLNNN",
-        help="with --fix: append an inline suppression scaffold to each "
-        "line with a new finding of this rule id (repeatable)",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=Path(DEFAULT_CACHE_PATH),
-        metavar="PATH",
-        help=f"incremental cache file (default: ./{DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="do not read or write the incremental cache",
-    )
     return parser
-
-
-def _changed_files(paths: list[str]) -> list[str] | None:
-    """Git-modified + untracked ``.py`` files under ``paths``; None = no git."""
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    roots = [Path(p).resolve() for p in paths]
-    changed: list[str] = []
-    seen: set[Path] = set()
-    for rel in (diff + untracked).splitlines():
-        if not rel.endswith(".py"):
-            continue
-        candidate = (Path(top) / rel).resolve()
-        if not candidate.is_file() or candidate in seen:
-            continue  # deleted files show in the diff but cannot be linted
-        if any(
-            root == candidate or root in candidate.parents for root in roots
-        ):
-            seen.add(candidate)
-            changed.append(str(candidate))
-    return sorted(changed)
 
 
 def _list_rules() -> str:
@@ -218,6 +132,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if rules is not None and args.write_baseline:
+        # A subset's findings would replace every other rule's entries.
+        print(
+            "error: --write-baseline rewrites the whole baseline and needs "
+            "every rule; drop --rules",
+            file=sys.stderr,
+        )
+        return 2
 
     baseline = None
     baseline_path = args.baseline
@@ -236,81 +158,13 @@ def main(argv: list[str] | None = None) -> int:
         readme = Path("README.md")
         docs = [readme] if readme.is_file() else []
 
-    if args.dry_run and not args.fix:
-        print("error: --dry-run requires --fix", file=sys.stderr)
-        return 2
-    if args.fix_suppress and not args.fix:
-        print("error: --fix-suppress requires --fix", file=sys.stderr)
-        return 2
-
-    paths = args.paths or _default_paths()
-    run_finalize = True
-    if args.changed:
-        changed = _changed_files(paths)
-        if changed is None:
-            print("note: not a git checkout; linting everything", file=sys.stderr)
-        elif not changed:
-            print("no changed Python files under the given paths; nothing to lint")
-            return 0
-        else:
-            paths = changed
-            # A diff slice lacks the evidence whole-tree contracts need
-            # (producers, parser homes, call graphs live elsewhere), so
-            # cross-module finalize rules are deferred to the full run.
-            run_finalize = False
-            print(
-                f"linting {len(changed)} changed file(s); cross-module "
-                "rules deferred to the next full run",
-                file=sys.stderr,
-            )
-
-    cache = None
-    if not args.no_cache and rules is None and not args.changed:
-        # --rules subsets and --changed slices see a partial tree; caching
-        # either would poison full-tree runs, so both bypass the cache.
-        cache = LintCache(args.cache)
-
     try:
         result = run_lint(
-            paths,
-            rules=rules,
-            docs=docs,
-            baseline=baseline,
-            cache=cache,
-            run_finalize=run_finalize,
+            args.paths or _default_paths(), rules=rules, docs=docs, baseline=baseline
         )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.fix:
-        edits = plan_fixes(
-            result,
-            suppress=args.fix_suppress or (),
-            baseline=baseline,
-            baseline_path=baseline_path,
-        )
-        if args.dry_run:
-            diff = render_diff(edits)
-            print(diff if diff else "nothing to fix")
-            return result.exit_code
-        if not edits:
-            print("nothing to fix")
-            return result.exit_code
-        apply_fixes(edits)
-        for edit in edits:
-            for note in edit.notes:
-                print(note)
-        print(f"fixed {len(edits)} file(s); re-linting")
-        reloaded = baseline
-        if baseline_path is not None and not args.no_baseline:
-            try:
-                reloaded = Baseline.load(baseline_path)
-            except (OSError, ValueError, KeyError):
-                reloaded = None
-        result = run_lint(
-            paths, rules=rules, docs=docs, baseline=reloaded, cache=cache
-        )
 
     if args.write_baseline:
         target = baseline_path if baseline_path is not None else Path(DEFAULT_BASELINE_NAME)

@@ -9,9 +9,8 @@ produces a :class:`ProjectGraph`:
   ``self.<attr>`` names each class writes), top-level functions, the
   ``__all__`` export list, and the import alias table with relative imports
   resolved against the module's dotted name;
-- a module dependency graph (``module_deps``) over the scanned files only —
-  the incremental cache uses its *reverse* edges to invalidate dependents
-  transitively when a module changes;
+- a module dependency graph (``module_deps``) over the scanned files only,
+  with :meth:`ProjectGraph.dependents` as its reverse transitive closure;
 - a call graph keyed by ``"<display_path>::<qualname>"``: direct calls to
   same-module functions, ``self.method()`` calls within a class, and calls
   through ``import``/``from … import`` aliases resolved to functions of
@@ -76,7 +75,7 @@ class ModuleInfo:
 
 @dataclass
 class ProjectGraph:
-    """The resolved whole-tree view rules and the cache consume."""
+    """The resolved whole-tree view the cross-module rules consume."""
 
     #: display path -> ModuleInfo.
     modules: dict[str, ModuleInfo] = field(default_factory=dict)

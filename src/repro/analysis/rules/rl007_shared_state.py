@@ -86,7 +86,6 @@ class SharedStateRule(Rule):
     rule_id = "RL007"
     title = "Pool-submitted callables never mutate parent-shared state"
     severity = "error"
-    version = 2
     false_negatives = (
         "Only direct submit targets resolvable by name within parallel.py "
         "are analyzed; callee chains, aliased callables, and mutation via "

@@ -237,7 +237,6 @@ class ResourceLifecycleRule(Rule):
     rule_id = "RL009"
     title = "Serve-layer resources are released on all paths"
     severity = "error"
-    version = 2
     false_negatives = (
         "Aliasing is not tracked, releases behind helper functions are not "
         "seen, constructors reached through variables are invisible, and an "

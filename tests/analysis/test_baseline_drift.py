@@ -10,7 +10,8 @@ corners worth pinning:
 * renaming the enclosing function changes ``context``, so the entry stops
   matching and the finding comes back new — moving code must re-justify it;
 * an entry whose finding was genuinely fixed goes stale, and
-  ``--fix`` prunes exactly that entry while keeping live ones.
+  ``--write-baseline`` drops exactly that entry while keeping live ones
+  with their written reasons.
 """
 
 from __future__ import annotations
@@ -98,27 +99,44 @@ class TestRenamedContext:
         assert again.exit_code == 0
 
 
-class TestFixPrunesResolvedEntries:
-    def test_cli_fix_drops_the_entry_once_the_finding_is_gone(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        pkg = tmp_path / "src" / "repro" / "novelty"
-        pkg.mkdir(parents=True)
-        target = pkg / "fixture_drift.py"
+LIVE_PATH = "src/repro/novelty/fixture_live.py"
+
+LIVE_LINE = '''\
+"""One offending line that stays."""
+
+import numpy as np
+
+
+def reseed():
+    np.random.seed(1)
+'''
+
+
+class TestWriteBaselinePrunes:
+    def test_drops_fixed_keeps_live_reason(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / MOD_PATH
+        target.parent.mkdir(parents=True)
         target.write_text(TWIN_LINES)
+        (tmp_path / LIVE_PATH).write_text(LIVE_LINE)
         monkeypatch.chdir(tmp_path)
 
-        # Baseline the real findings, then actually fix the code.
-        assert lint_main(["src", "--write-baseline", "--no-cache"]) == 0
+        # Baseline the real findings and document every entry.
+        assert lint_main(["src", "--write-baseline"]) == 0
+        baseline_path = tmp_path / ".reprolint-baseline.json"
+        payload = json.loads(baseline_path.read_text())
+        assert {e["path"] for e in payload["findings"]} == {MOD_PATH, LIVE_PATH}
+        for entry in payload["findings"]:
+            entry["reason"] = f"documented: {entry['path']}"
+        baseline_path.write_text(json.dumps(payload))
+
+        # Actually fix the code behind one entry, then rewrite the baseline.
         target.write_text(
             TWIN_LINES.replace("np.random.seed(0)", "rng = np.random.default_rng(0)")
         )
-        capsys.readouterr()
-
-        assert lint_main(["src", "--fix", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "pruned stale entry RL001" in out
-        payload = json.loads(
-            (tmp_path / ".reprolint-baseline.json").read_text()
-        )
-        assert payload["findings"] == []
+        assert lint_main(["src", "--write-baseline"]) == 0
+        assert "wrote 1 baseline entr(y/ies)" in capsys.readouterr().out
+        payload = json.loads(baseline_path.read_text())
+        assert [(e["rule"], e["path"], e["reason"]) for e in payload["findings"]] == [
+            ("RL001", LIVE_PATH, f"documented: {LIVE_PATH}")
+        ]
+        assert lint_main(["src"]) == 0

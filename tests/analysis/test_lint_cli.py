@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis.cli import main as lint_main
 from repro.analysis.report import load_lint_events
+from repro.analysis.rules import RULE_CLASSES
 from repro.experiments.cli import main as repro_main
 from repro.serve.sinks import read_events
 
@@ -53,13 +54,13 @@ def test_unknown_rule_id_is_a_usage_error(capsys):
 def test_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in (f"RL00{i}" for i in range(1, 9)):
-        assert rule_id in out
+    for cls in RULE_CLASSES:
+        assert cls.rule_id in out
 
 
-def test_experiments_cli_dispatches_lint(monkeypatch):
-    monkeypatch.chdir(REPO_ROOT)
-    assert repro_main(["lint", "src/repro"]) == 0
+def test_experiments_cli_dispatches_lint(tmp_path, monkeypatch):
+    monkeypatch.chdir(plant_bad_tree(tmp_path))
+    assert repro_main(["lint", "src", "--no-baseline"]) == 1
 
 
 def test_json_output_round_trips_through_read_events(tmp_path, monkeypatch):
@@ -112,6 +113,23 @@ def test_write_baseline_then_lint_is_clean(tmp_path, monkeypatch, capsys):
     assert "6 baselined" in out
 
 
+def test_write_baseline_with_a_rules_subset_is_a_usage_error(
+    tmp_path, monkeypatch, capsys
+):
+    # A subset's findings would overwrite every other rule's entries.
+    monkeypatch.chdir(plant_bad_tree(tmp_path))
+    baseline_path = tmp_path / ".reprolint-baseline.json"
+    assert lint_main(["src", "--write-baseline"]) == 0
+    written = baseline_path.read_text(encoding="utf-8")
+    capsys.readouterr()
+
+    assert lint_main(["src", "--rules", "RL005", "--write-baseline"]) == 2
+    err = capsys.readouterr().err
+    assert "--write-baseline" in err and "--rules" in err
+    assert baseline_path.read_text(encoding="utf-8") == written
+    assert lint_main(["src"]) == 0
+
+
 def test_report_format_writes_met_not_met_files(tmp_path, monkeypatch):
     monkeypatch.chdir(plant_bad_tree(tmp_path))
     out_dir = tmp_path / "report"
@@ -136,67 +154,3 @@ def test_help_exits_zero(flag, capsys):
         lint_main(flag)
     assert exc.value.code == 0
     assert "reprolint" in capsys.readouterr().out.lower()
-
-
-class TestChangedFlag:
-    """--changed: the git-diff-scoped pre-commit fast path."""
-
-    def _git(self, tmp_path, *argv):
-        import subprocess
-
-        subprocess.run(
-            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv],
-            cwd=tmp_path,
-            check=True,
-            capture_output=True,
-        )
-
-    def test_changed_lints_only_the_modified_files(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        pkg = tmp_path / "src" / "repro" / "pkg"
-        pkg.mkdir(parents=True)
-        clean = pkg / "clean.py"
-        clean.write_text("def fine():\n    return 0\n")
-        touched = pkg / "touched.py"
-        touched.write_text("def also_fine():\n    return 1\n")
-        monkeypatch.chdir(tmp_path)
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", "-A")
-        self._git(tmp_path, "commit", "-qm", "seed")
-
-        touched.write_text("import pickle\n\n\ndef also_fine():\n    return 1\n")
-        untracked = pkg / "brand_new.py"
-        untracked.write_text("def newcomer():\n    return 2\n")
-
-        code = lint_main(["src", "--changed", "--no-baseline"])
-        out = capsys.readouterr()
-        # Only touched.py + the untracked file were linted (clean.py skipped);
-        # pickle in a non-serve module is legal, so the slice is green.
-        assert "2 changed file(s)" in out.err
-        assert "across 2 file(s)" in out.out
-        assert code == 0
-
-    def test_changed_with_nothing_modified_exits_zero(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        pkg = tmp_path / "src" / "repro" / "pkg"
-        pkg.mkdir(parents=True)
-        (pkg / "mod.py").write_text("def fine():\n    return 0\n")
-        monkeypatch.chdir(tmp_path)
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", "-A")
-        self._git(tmp_path, "commit", "-qm", "seed")
-
-        assert lint_main(["src", "--changed"]) == 0
-        assert "nothing to lint" in capsys.readouterr().out
-
-    def test_changed_outside_git_falls_back_to_a_full_run(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(plant_bad_tree(tmp_path))
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "definitely-not-a-repo"))
-        code = lint_main(["src", "--changed", "--no-baseline", "--no-cache"])
-        out = capsys.readouterr()
-        assert "linting everything" in out.err
-        assert code == 1  # the full run still sees the planted RL003 tree

@@ -1,7 +1,7 @@
 """Tier-1 gate: the shipped tree stays clean under the full reprolint rule set.
 
 This is the enforcement half of ``repro.analysis``: any new violation of the
-serving-stack contracts (RL001–RL008) in ``src/`` or ``benchmarks/`` fails the
+serving-stack contracts (RL001–RL012) in ``src/`` or ``benchmarks/`` fails the
 default test pass.  Deliberate, documented exceptions live in the committed
 baseline at the repo root; the baseline itself is kept small and justified.
 """
@@ -32,17 +32,23 @@ def run_repo_lint():
     return run_lint(LINT_PATHS, docs=docs, baseline=baseline)
 
 
-def test_src_tree_has_no_new_findings():
-    result = run_repo_lint()
+@pytest.fixture(scope="module")
+def repo_lint():
+    """One full-tree lint shared by the gate tests below."""
+    return run_repo_lint()
+
+
+def test_src_tree_has_no_new_findings(repo_lint):
+    result = repo_lint
     new = result.new
     detail = "\n".join(f"{f.location()} {f.rule} {f.message}" for f in new)
     assert not new, f"new reprolint findings:\n{detail}"
     assert result.exit_code == 0
 
 
-def test_lint_actually_scanned_the_tree():
+def test_lint_actually_scanned_the_tree(repo_lint):
     """Guard against a silently-empty scan reading as a clean tree."""
-    result = run_repo_lint()
+    result = repo_lint
     assert len(result.context.modules) > 50
     assert not result.context.parse_errors
 
@@ -53,11 +59,10 @@ def test_baseline_is_small_and_documented():
     assert baseline.undocumented() == []
 
 
-def test_baseline_entries_still_match_real_findings():
+def test_baseline_entries_still_match_real_findings(repo_lint):
     """A baseline entry whose finding was fixed should be deleted, not kept."""
     baseline = Baseline.load(BASELINE_PATH)
-    docs = [README] if README.exists() else []
-    result = run_lint(LINT_PATHS, docs=docs, baseline=baseline)
+    result = repo_lint
     for entry in baseline.entries:
         assert any(
             entry.matches(finding) for finding in result.baselined

@@ -1,10 +1,9 @@
 """Pass-1 semantic model: symbol table, call graph, module dependencies.
 
 The project graph (:mod:`repro.analysis.project`) is the substrate every
-cross-module rule and the incremental cache stand on, so its resolution
-rules are pinned directly: same-module calls, ``self.method()`` dispatch,
-import-alias resolution into other scanned modules, and the reverse
-dependency closure the cache invalidates through.
+cross-module rule stands on, so its resolution rules are pinned directly:
+same-module calls, ``self.method()`` dispatch, import-alias resolution into
+other scanned modules, and the reverse dependency closure.
 """
 
 from __future__ import annotations
