@@ -55,6 +55,10 @@ class ContinualMethod:
             f"{type(self).__name__} does not expose anomaly scores"
         )
 
+    def threshold_scores(self, scores: np.ndarray, y_true: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`predict` given the batch's :meth:`score_samples`; required by scoring methods."""
+        raise NotImplementedError(f"{type(self).__name__} does not threshold anomaly scores")
+
     def update(self, X: np.ndarray) -> None:
         """Online update entry point used by the serving lifecycle layer.
 

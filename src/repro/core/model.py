@@ -222,7 +222,10 @@ class CNDIDS(ContinualMethod):
         label-free quantile fallback on the clean-normal score distribution is
         used instead so the model remains usable in deployment.
         """
-        scores = self.score_samples(X)
+        return self.threshold_scores(self.score_samples(X), y_true)
+
+    def threshold_scores(self, scores: np.ndarray, y_true: np.ndarray | None = None) -> np.ndarray:
+        """Threshold :meth:`score_samples` output exactly as :meth:`predict` does."""
         strategy: ThresholdingStrategy = self.thresholding
         if strategy.requires_labels and y_true is None:
             strategy = QuantileThresholding()

@@ -138,12 +138,16 @@ def run_continual_method(
 
         for j, test_experience in enumerate(scenario):
             start = time.perf_counter()
-            y_pred = method.predict(test_experience.X_test, y_true=test_experience.y_test)
+            if method.supports_scores:
+                # Score once; F1 thresholds the same scores PR-AUC ranks.
+                scores = method.score_samples(test_experience.X_test)
+                y_pred = method.threshold_scores(scores, y_true=test_experience.y_test)
+            else:
+                y_pred = method.predict(test_experience.X_test, y_true=test_experience.y_test)
             inference_time += time.perf_counter() - start
             inference_samples += test_experience.n_test
             f1_matrix[i, j] = f1_score(test_experience.y_test, y_pred)
             if prauc_matrix is not None:
-                scores = method.score_samples(test_experience.X_test)
                 prauc_matrix[i, j] = pr_auc_score(test_experience.y_test, scores)
 
     inference_ms = 1000.0 * inference_time / max(inference_samples, 1)

@@ -9,11 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.distances import pairwise_squared_euclidean, pairwise_topk
+from repro.ml.distances import pairwise_squared_euclidean
+from repro.ml.parallel import map_row_blocks
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_array, check_fitted
 
 __all__ = ["KMeans", "elbow_method"]
+
+
+def _sq_distances(X: np.ndarray, sq_x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """:func:`pairwise_squared_euclidean`'s expression (so its bits), given ``X``'s row norms."""
+    d2 = sq_x[:, None] + np.sum(centers**2, axis=1)[None, :] - 2.0 * (X @ centers.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 class KMeans:
@@ -62,12 +70,14 @@ class KMeans:
         self.n_iter_: int | None = None
 
     # -- initialisation ------------------------------------------------------
-    def _init_centers(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _init_centers(
+        self, X: np.ndarray, sq_x: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
         n_samples = X.shape[0]
         centers = np.empty((self.n_clusters, X.shape[1]), dtype=np.float64)
         first = int(rng.integers(n_samples))
         centers[0] = X[first]
-        closest_sq = pairwise_squared_euclidean(X, centers[:1]).ravel()
+        closest_sq = _sq_distances(X, sq_x, centers[:1]).ravel()
         for k in range(1, self.n_clusters):
             total = closest_sq.sum()
             if total <= 0.0:
@@ -77,7 +87,7 @@ class KMeans:
                 probabilities = closest_sq / total
                 idx = int(rng.choice(n_samples, p=probabilities))
             centers[k] = X[idx]
-            new_sq = pairwise_squared_euclidean(X, centers[k : k + 1]).ravel()
+            new_sq = _sq_distances(X, sq_x, centers[k : k + 1]).ravel()
             np.minimum(closest_sq, new_sq, out=closest_sq)
         return centers
 
@@ -89,10 +99,13 @@ class KMeans:
                 f"n_samples={X.shape[0]} must be >= n_clusters={self.n_clusters}"
             )
         rng = check_random_state(self.random_state)
+        # Loop invariants of every restart: row norms and a contiguous X.T.
+        sq_x = np.sum(X**2, axis=1)
+        X_T = np.ascontiguousarray(X.T)
         best_inertia = np.inf
         best: tuple[np.ndarray, np.ndarray, int] | None = None
         for _ in range(self.n_init):
-            centers, labels, inertia, n_iter = self._single_run(X, rng)
+            centers, labels, inertia, n_iter = self._single_run(X, sq_x, X_T, rng)
             if inertia < best_inertia:
                 best_inertia = inertia
                 best = (centers, labels, n_iter)
@@ -101,21 +114,35 @@ class KMeans:
         self.inertia_ = float(best_inertia)
         return self
 
-    def _assign(self, X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest-centre label and squared distance per sample, blockwise."""
-        idx, dist = pairwise_topk(
-            X, centers, 1, block_size=self.block_size, squared=True
-        )
-        return idx[:, 0], dist[:, 0]
+    def _assign(
+        self, X: np.ndarray, centers: np.ndarray, sq_x: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest-centre label and squared distance per sample, in ``block_size`` row blocks."""
+        sq_x = np.sum(X**2, axis=1) if sq_x is None else sq_x
+        n = X.shape[0]
+        labels, nearest_sq = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.float64)
+
+        def _assign_block(start: int, stop: int) -> None:
+            d2 = _sq_distances(X[start:stop], sq_x[start:stop], centers)
+            labels[start:stop] = idx = d2.argmin(axis=1)
+            nearest_sq[start:stop] = d2[np.arange(stop - start), idx]
+
+        step = self.block_size
+        map_row_blocks(_assign_block, [(i, min(i + step, n)) for i in range(0, n, step)])
+        return labels, nearest_sq
 
     def _update_centers(
-        self, X: np.ndarray, labels: np.ndarray, nearest_sq: np.ndarray, centers: np.ndarray
+        self, X: np.ndarray, labels: np.ndarray, nearest_sq: np.ndarray, centers: np.ndarray,
+        X_T: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Mean of each cluster's members via bincount accumulation (no per-cluster loop)."""
-        counts = np.bincount(labels, minlength=self.n_clusters)
-        sums = np.empty((self.n_clusters, X.shape[1]), dtype=np.float64)
-        for j in range(X.shape[1]):
-            sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=self.n_clusters)
+        """Mean of each cluster's members via bincount accumulation (no per-cluster loop).
+
+        ``X_T`` is ``X.T`` made contiguous (once per ``fit``): no strided column reads.
+        """
+        X_T = np.ascontiguousarray(X.T) if X_T is None else X_T
+        k = self.n_clusters
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack([np.bincount(labels, weights=row, minlength=k) for row in X_T], axis=1)
         new_centers = centers.copy()
         nonempty = counts > 0
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -125,19 +152,19 @@ class KMeans:
         return new_centers
 
     def _single_run(
-        self, X: np.ndarray, rng: np.random.Generator
+        self, X: np.ndarray, sq_x: np.ndarray, X_T: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
-        centers = self._init_centers(X, rng)
+        centers = self._init_centers(X, sq_x, rng)
         labels = np.zeros(X.shape[0], dtype=np.int64)
         n_iter = 0
         for n_iter in range(1, self.max_iter + 1):
-            labels, nearest_sq = self._assign(X, centers)
-            new_centers = self._update_centers(X, labels, nearest_sq, centers)
+            labels, nearest_sq = self._assign(X, centers, sq_x)
+            new_centers = self._update_centers(X, labels, nearest_sq, centers, X_T)
             shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
             centers = new_centers
             if shift <= self.tol:
                 break
-        labels, nearest_sq = self._assign(X, centers)
+        labels, nearest_sq = self._assign(X, centers, sq_x)
         inertia = float(nearest_sq.sum())
         return centers, labels, inertia, n_iter
 

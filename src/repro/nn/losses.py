@@ -129,30 +129,32 @@ class TripletMarginLoss:
 
         Uses random sampling: for every sample whose class has at least two
         members and whose complement is non-empty, draw
-        ``triplets_per_anchor`` random positives and negatives.  Returns an
-        empty ``(0, 3)`` array when no valid triplet exists (e.g. a single
-        pseudo-class in the batch).
+        ``triplets_per_anchor`` random positives and negatives.  One
+        ``rng.integers`` call with the pool sizes as bounds takes every draw,
+        in the order and from the stream of one ``rng.choice(pool)`` per draw.
+        Returns an empty ``(0, 3)`` array when no valid triplet exists (e.g. a
+        single pseudo-class in the batch).
         """
         labels = np.asarray(labels)
-        triplets: list[tuple[int, int, int]] = []
-        unique = np.unique(labels)
-        if unique.size < 2:
+        classes, counts = np.unique(labels, return_counts=True)
+        if classes.size < 2:
             return np.empty((0, 3), dtype=np.int64)
-        indices_by_label = {label: np.flatnonzero(labels == label) for label in unique}
-        for anchor in range(labels.shape[0]):
-            label = labels[anchor]
-            positives = indices_by_label[label]
-            positives = positives[positives != anchor]
-            negatives = np.flatnonzero(labels != label)
-            if positives.size == 0 or negatives.size == 0:
-                continue
-            for _ in range(self.triplets_per_anchor):
-                pos = int(self._rng.choice(positives))
-                neg = int(self._rng.choice(negatives))
-                triplets.append((anchor, pos, neg))
-        if not triplets:
-            return np.empty((0, 3), dtype=np.int64)
-        return np.asarray(triplets, dtype=np.int64)
+        inverse = np.searchsorted(classes, labels)
+        anchors = np.repeat(np.flatnonzero(counts[inverse] >= 2), self.triplets_per_anchor)
+        own = inverse[anchors]
+        highs = np.column_stack([counts[own] - 1, labels.shape[0] - counts[own]])
+        draws = self._rng.integers(0, highs, dtype=np.int64)
+        triplets = np.empty((anchors.size, 3), dtype=np.int64)
+        triplets[:, 0] = anchors
+        for c in range(classes.size):
+            rows = np.flatnonzero(own == c)
+            members = np.flatnonzero(inverse == c)
+            pos = draws[rows, 0]
+            # The positive pool is the class without the anchor itself.
+            pos += pos >= np.searchsorted(members, anchors[rows])
+            triplets[rows, 1] = members[pos]
+            triplets[rows, 2] = np.flatnonzero(inverse != c)[draws[rows, 1]]
+        return triplets
 
     # -- loss ------------------------------------------------------------
     def __call__(
@@ -161,8 +163,9 @@ class TripletMarginLoss:
         embeddings = np.asarray(embeddings, dtype=np.float64)
         if embeddings.ndim != 2:
             raise ValueError(f"embeddings must be 2-D, got shape {embeddings.shape}")
-        if labels.shape[0] != embeddings.shape[0]:
-            raise ValueError("labels must have one entry per embedding")
+        labels = np.asarray(labels)
+        if labels.ndim != 1 or labels.shape[0] != embeddings.shape[0]:
+            raise ValueError("labels must be 1-D with one entry per embedding")
         grad = np.zeros_like(embeddings)
         triplets = self.mine_triplets(labels)
         if triplets.shape[0] == 0:

@@ -3,9 +3,9 @@
 A :class:`RefitPolicy` receives the currently served model plus the clean
 recent window collected by :class:`~repro.serve.lifecycle.buffer.WindowBuffer`
 and returns a *candidate* model (or ``None`` to decline).  The candidate is
-never the served object itself — policies clone through the pickle-free
-snapshot codec (:func:`clone_model`) so workers can keep scoring the old
-model while the candidate trains, and a rejected candidate leaves no trace.
+never the served object itself — policies clone it in memory through the
+pickle-free snapshot codec (:func:`clone_model`) so workers keep scoring the
+old model while the candidate trains, and a rejected candidate leaves no trace.
 
 Three policies cover the spectrum the paper's continual story needs:
 
@@ -22,10 +22,11 @@ Three policies cover the spectrum the paper's continual story needs:
 
 from __future__ import annotations
 
-import tempfile
 from typing import Any, Callable
 
 import numpy as np
+
+from repro.serve.snapshot import roundtrip
 
 __all__ = ["RefitPolicy", "FullRefit", "ContinualRefit", "NoRefit", "clone_model"]
 
@@ -33,14 +34,12 @@ __all__ = ["RefitPolicy", "FullRefit", "ContinualRefit", "NoRefit", "clone_model
 def clone_model(model: Any) -> Any:
     """Deep-clone a model through the snapshot codec (no pickle, no sharing).
 
-    The clone scores bit-identically to the original but shares no mutable
-    state, so it can be trained or discarded without touching the served
-    model mid-stream.
+    The round trip runs in memory (:func:`repro.serve.snapshot.roundtrip`):
+    no temporary directory, compression or hash.  The clone scores
+    bit-identically to the original but shares no mutable state, so it can be
+    trained or discarded without touching the served model mid-stream.
     """
-    from repro.serve.snapshot import load_snapshot, save_snapshot
-
-    with tempfile.TemporaryDirectory(prefix="repro-clone-") as tmp:
-        return load_snapshot(save_snapshot(model, f"{tmp}/model"))
+    return roundtrip(model)
 
 
 class RefitPolicy:

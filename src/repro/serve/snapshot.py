@@ -42,6 +42,7 @@ __all__ = [
     "save_snapshot",
     "load_snapshot",
     "read_manifest",
+    "roundtrip",
 ]
 
 #: Format version written to every manifest; the loader rejects anything newer.
@@ -255,6 +256,23 @@ class _Decoder:
         if kind == "dict":
             return {key: self.decode(item) for key, item in spec["v"].items()}
         raise SnapshotError(f"unknown state spec kind {kind!r}")
+
+
+def roundtrip(model: Any) -> Any:
+    """Rebuild ``model`` through the snapshot codec in memory, sharing nothing with it.
+
+    Equals ``load_snapshot(save_snapshot(model, path))`` minus the directory,
+    compression and hash: the graph takes the same JSON pass (plain Python
+    scalars, sorted attribute order) and each array is copied in its ``.npz`` layout.
+    """
+    encoder = _Encoder()
+    graph = json.dumps([encoder.encode(model), encoder.objects], sort_keys=True)
+    state, objects = json.loads(graph)
+    arrays = {
+        key: a.copy(order="F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C")
+        for key, a in encoder.arrays.items()
+    }
+    return _Decoder(objects, arrays).decode(state)
 
 
 def save_snapshot(

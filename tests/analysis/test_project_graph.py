@@ -1,9 +1,9 @@
-"""Pass-1 semantic model: symbol table, call graph, module dependencies.
+"""Pass-1 semantic model: symbol table and call graph.
 
 The project graph (:mod:`repro.analysis.project`) is the substrate every
 cross-module rule stands on, so its resolution rules are pinned directly:
-same-module calls, ``self.method()`` dispatch, import-alias resolution into
-other scanned modules, and the reverse dependency closure.
+same-module calls, ``self.method()`` dispatch, and import-alias resolution
+into other scanned modules.
 """
 
 from __future__ import annotations
@@ -90,35 +90,3 @@ class TestCallEdges:
         edges = graph.call_edges[function_key(SCORING_PATH, "Scorer.score")]
         lineno = edges[function_key(HELPER_PATH, "jitter")]
         assert SCORING.splitlines()[lineno - 1].strip() == "base = jitter()"
-
-
-class TestModuleDeps:
-    def test_importer_depends_on_imported_module(self):
-        graph = build()
-        assert HELPER_PATH in graph.module_deps[SCORING_PATH]
-        assert graph.module_deps[HELPER_PATH] == set()
-
-    def test_dependents_closure_is_reverse_and_transitive(self):
-        graph = build()
-        assert graph.dependents({HELPER_PATH}) == {HELPER_PATH, SCORING_PATH}
-        assert graph.dependents({SCORING_PATH}) == {SCORING_PATH}
-
-    def test_transitive_chain(self):
-        top = parse_module(
-            "from repro.serve.fixture_scoring import run\n\n\n"
-            "def entry(rows):\n    return run(rows)\n",
-            "src/repro/serve/fixture_entry.py",
-        )
-        context = LintContext(
-            modules=[
-                parse_module(HELPER, HELPER_PATH),
-                parse_module(SCORING, SCORING_PATH),
-                top,
-            ]
-        )
-        graph = build_project(context)
-        assert graph.dependents({HELPER_PATH}) == {
-            HELPER_PATH,
-            SCORING_PATH,
-            "src/repro/serve/fixture_entry.py",
-        }

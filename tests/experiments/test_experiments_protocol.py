@@ -13,6 +13,7 @@ from repro.experiments import (
     run_continual_method,
     run_static_detector,
 )
+from repro.metrics.classification import f1_score
 from repro.novelty import PCAReconstructionDetector
 
 
@@ -86,6 +87,44 @@ class TestRunContinualMethod:
         result = run_continual_method(model, tiny_scenario, compute_prauc=False)
         assert result.prauc_matrix is None
         assert np.isnan(result.avg_prauc)
+
+    @pytest.mark.parametrize("compute_prauc", [True, False])
+    def test_each_test_split_is_scored_once(self, tiny_scenario, compute_prauc):
+        def build():
+            return CNDIDS(
+                input_dim=tiny_scenario.n_features,
+                latent_dim=8,
+                hidden_dims=(16,),
+                epochs=1,
+                random_state=0,
+            )
+
+        model = build()
+        scored_rows = []
+        score_samples = model.score_samples
+
+        def counting_score_samples(X):
+            scored_rows.append(X.shape[0])
+            return score_samples(X)
+
+        def no_predict(*args, **kwargs):
+            raise AssertionError("predict would score the split a second time")
+
+        model.score_samples = counting_score_samples
+        model.predict = no_predict
+        result = run_continual_method(model, tiny_scenario, compute_prauc=compute_prauc)
+        n = tiny_scenario.n_experiences
+        assert sum(scored_rows) == n * sum(e.n_test for e in tiny_scenario)
+        assert result.inference_time_ms_per_sample > 0.0
+
+        # Thresholding the shared scores gives the F1 that predict() gives.
+        reference = build()
+        reference.setup(tiny_scenario.clean_normal)
+        for i, experience in enumerate(tiny_scenario):
+            reference.fit_experience(experience.X_train)
+            for j, test in enumerate(tiny_scenario):
+                y_pred = reference.predict(test.X_test, y_true=test.y_test)
+                assert result.f1_matrix[i, j] == f1_score(test.y_test, y_pred)
 
 
 class TestRunStaticDetector:

@@ -184,3 +184,94 @@ class TestTripletMarginLoss:
     def test_labels_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             TripletMarginLoss(random_state=0)(np.zeros((4, 2)), np.zeros(3))
+
+    def test_labels_as_a_list_are_accepted(self):
+        rng = np.random.default_rng(3)
+        embeddings = rng.normal(size=(6, 2))
+        labels = [0, 0, 0, 1, 1, 1]
+        as_list = TripletMarginLoss(random_state=1)(embeddings, labels)
+        as_array = TripletMarginLoss(random_state=1)(embeddings, np.asarray(labels))
+        assert as_list[0] == as_array[0]
+        np.testing.assert_array_equal(as_list[1], as_array[1])
+
+    def test_two_dimensional_labels_raise(self):
+        with pytest.raises(ValueError, match="1-D"):
+            TripletMarginLoss(random_state=0)(np.zeros((4, 2)), np.zeros((4, 1)))
+
+
+def _mine_triplets_loop(
+    rng: np.random.Generator, labels: np.ndarray, triplets_per_anchor: int
+) -> np.ndarray:
+    """The per-anchor miner that ``TripletMarginLoss.mine_triplets`` replaced."""
+    labels = np.asarray(labels)
+    triplets: list[tuple[int, int, int]] = []
+    unique = np.unique(labels)
+    if unique.size < 2:
+        return np.empty((0, 3), dtype=np.int64)
+    indices_by_label = {label: np.flatnonzero(labels == label) for label in unique}
+    for anchor in range(labels.shape[0]):
+        label = labels[anchor]
+        positives = indices_by_label[label]
+        positives = positives[positives != anchor]
+        negatives = np.flatnonzero(labels != label)
+        if positives.size == 0 or negatives.size == 0:
+            continue
+        for _ in range(triplets_per_anchor):
+            pos = int(rng.choice(positives))
+            neg = int(rng.choice(negatives))
+            triplets.append((anchor, pos, neg))
+    if not triplets:
+        return np.empty((0, 3), dtype=np.int64)
+    return np.asarray(triplets, dtype=np.int64)
+
+
+class TestMineTripletsMatchesLoop:
+    """The vectorised miner draws what the per-anchor loop drew, bit for bit."""
+
+    @staticmethod
+    def assert_same(labels, triplets_per_anchor: int, seed: int) -> None:
+        loss_fn = TripletMarginLoss(triplets_per_anchor=triplets_per_anchor, random_state=seed)
+        reference_rng = np.random.default_rng(seed)
+        got = loss_fn.mine_triplets(labels)
+        expected = _mine_triplets_loop(reference_rng, labels, triplets_per_anchor)
+        assert got.dtype == expected.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+        assert loss_fn._rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("triplets_per_anchor", [1, 2, 3])
+    def test_binary_batch(self, triplets_per_anchor):
+        labels = np.random.default_rng(0).integers(0, 2, size=128)
+        self.assert_same(labels, triplets_per_anchor, seed=7)
+
+    @pytest.mark.parametrize("triplets_per_anchor", [1, 3])
+    def test_multi_class_with_unsorted_label_values(self, triplets_per_anchor):
+        labels = np.random.default_rng(1).choice([9, -2, 4, 0, 5], size=57)
+        self.assert_same(labels, triplets_per_anchor, seed=8)
+
+    def test_singleton_classes_are_skipped_as_anchors(self):
+        # Class 7 has one member (no positive); class 3 has two (one positive each).
+        labels = np.array([0, 0, 7, 0, 3, 1, 1, 3, 0])
+        self.assert_same(labels, 2, seed=9)
+
+    def test_only_singletons_or_one_class_give_no_triplets(self):
+        self.assert_same(np.array([4, 5, 6]), 1, seed=10)
+        self.assert_same(np.zeros(5, dtype=np.int64), 1, seed=10)
+        self.assert_same(np.array([], dtype=np.int64), 1, seed=10)
+
+    @given(
+        labels=st.lists(st.integers(0, 4), min_size=0, max_size=40),
+        triplets_per_anchor=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_label_sets(self, labels, triplets_per_anchor, seed):
+        self.assert_same(np.asarray(labels, dtype=np.int64), triplets_per_anchor, seed)
+
+    def test_consecutive_calls_share_the_stream(self):
+        labels = np.random.default_rng(2).integers(0, 3, size=40)
+        loss_fn = TripletMarginLoss(random_state=11)
+        reference_rng = np.random.default_rng(11)
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                loss_fn.mine_triplets(labels), _mine_triplets_loop(reference_rng, labels, 1)
+            )
+        assert loss_fn._rng.bit_generator.state == reference_rng.bit_generator.state
