@@ -15,9 +15,9 @@ it does for single-core inference (``results``) and the parallel layer
 * ``DetectionService.reload_detector[iforest]`` — the sequential in-process
   swap (rolling/drift state reset included), reported as swaps per second
   (plus ``swap_stall_s``);
-* ``coordinated_swap[thread,w=N]`` —
-  :meth:`ShardedDetectionService.reload_detector`, which swaps the parent
-  and every shard service.
+* ``coordinated_swap[thread,w=N]`` — the same swap on a
+  :class:`ShardedDetectionService` (the inherited
+  :meth:`~DetectionService.reload_detector`: its workers hold no model state).
 
 A second, separately trend-checked ``"shadow"`` section records what shadow
 evaluation (:mod:`repro.serve.lifecycle.shadow`) costs while a trial runs —

@@ -2,8 +2,7 @@
 
 The telemetry layer (:mod:`repro.serve.telemetry`) is on by default: every
 scored batch updates counters and latency histograms and passes through the
-per-stage spans, and a sharded run folds every worker's registry into one
-snapshot at report time.  Observability that taxes the serving loop gets
+per-stage spans.  Observability that taxes the serving loop gets
 turned off, so this benchmark pins the costs under the ``"telemetry"`` key
 of ``BENCH_inference.json`` and ``check_bench_trend.py`` fails the build
 when any of them regresses:
@@ -21,21 +20,18 @@ when any of them regresses:
   must ride along for free;
 * ``trace_span[enter_exit]`` — bare span enter/exit cycles per second
   against a live registry (the unit cost every instrumented stage pays);
-* ``metrics_exposition[render]`` — :func:`render_prometheus` over a folded
-  snapshot, renders per second (paid per ``/metrics`` scrape);
+* ``metrics_exposition[render]`` — :func:`render_prometheus` over a
+  populated snapshot, renders per second (paid per ``/metrics`` scrape);
 * ``mem_sample`` — one :meth:`MemoryProfiler.sample` (RSS read + gauge and
   histogram update), samples per second (paid per batch under
   ``--profile-mem``);
-* ``registry_merge[shards=N]`` — :meth:`MetricsRegistry.fold` over ``N``
-  populated shard registries, folds per second (paid per snapshot/report
-  in a sharded service);
 * ``report_render`` — :func:`build_report` + :func:`render_markdown` from a
   realistic summary/metrics/events payload, reports per second.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_telemetry_bench.py \
-        [--batch 4096] [--n-features 16] [--shards 8] \
+        [--batch 4096] [--n-features 16] \
         [--output BENCH_inference.json]
 """
 
@@ -66,8 +62,12 @@ from run_lifecycle_bench import DEFAULT_OUTPUT, _best_time, write_report
 __all__ = ["run_bench", "write_report", "DEFAULT_OUTPUT", "main"]
 
 
-def _populated_registry(seed: int, n_batches: int = 50) -> MetricsRegistry:
-    """A shard-shaped registry: the instruments a serving shard accumulates."""
+#: Batches recorded into the registry the exposition and report arms render.
+N_BATCHES = 400
+
+
+def _populated_registry(seed: int, n_batches: int = N_BATCHES) -> MetricsRegistry:
+    """The instruments a serving run accumulates over ``n_batches`` batches."""
     rng = np.random.default_rng(seed)
     registry = MetricsRegistry()
     batches = registry.counter("pipeline.batches", unit="batches")
@@ -87,7 +87,6 @@ def run_bench(
     *,
     batch: int = 4096,
     n_features: int = 16,
-    n_shards: int = 8,
     n_repeats: int = 3,
     seed: int = 0,
 ) -> dict[str, object]:
@@ -139,14 +138,7 @@ def run_bench(
     span_s = _best_time(_one_span, n_repeats, n_inner=1000)
     results["trace_span[enter_exit]"] = {"samples_per_sec": 1.0 / span_s}
 
-    shards = [_populated_registry(seed + i) for i in range(n_shards)]
-    merge_s = _best_time(lambda: MetricsRegistry.fold(shards), n_repeats)
-    results[f"registry_merge[shards={n_shards}]"] = {
-        "samples_per_sec": 1.0 / merge_s,
-        "merge_latency_s": merge_s,
-    }
-
-    metrics = MetricsRegistry.fold(shards).snapshot()
+    metrics = _populated_registry(seed).snapshot()
 
     expose_s = _best_time(lambda: render_prometheus(metrics), n_repeats)
     results["metrics_exposition[render]"] = {
@@ -163,12 +155,12 @@ def run_bench(
     }
 
     summary = {
-        "n_batches": 50 * n_shards,
-        "n_samples": 256 * 50 * n_shards,
+        "n_batches": N_BATCHES,
+        "n_samples": 256 * N_BATCHES,
         "n_alerts": 137,
         "n_drift_events": 2,
         "throughput_samples_per_sec": 1e5,
-        "total_time_s": 256 * 50 * n_shards / 1e5,
+        "total_time_s": 256 * N_BATCHES / 1e5,
         "batch_latency_p50_s": 1e-3,
         "batch_latency_p95_s": 3e-3,
         "batch_latency_p99_s": 5e-3,
@@ -207,7 +199,6 @@ def run_bench(
         "config": {
             "batch": batch,
             "n_features": n_features,
-            "n_shards": n_shards,
             "n_repeats": n_repeats,
             "seed": seed,
         },
@@ -219,17 +210,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--batch", type=int, default=4096)
     parser.add_argument("--n-features", type=int, default=16)
-    parser.add_argument("--shards", type=int, default=8)
     parser.add_argument("--n-repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     args = parser.parse_args(argv)
-    if min(args.batch, args.n_features, args.shards, args.n_repeats) < 1:
-        parser.error("--batch, --n-features, --shards, --n-repeats must be >= 1")
+    if min(args.batch, args.n_features, args.n_repeats) < 1:
+        parser.error("--batch, --n-features, --n-repeats must be >= 1")
     payload = run_bench(
         batch=args.batch,
         n_features=args.n_features,
-        n_shards=args.shards,
         n_repeats=args.n_repeats,
         seed=args.seed,
     )

@@ -18,11 +18,10 @@ The deployment story of the paper, end to end:
    version and hot-swaps it in — every decision lands in the registry's
    ``history.jsonl`` lineage,
 4. with ``--workers N`` (N > 1), serve the same stream through a
-   **ShardedDetectionService** instead: scoring fans out to N worker
-   threads, alerts and drift events are emitted in global stream order,
-   per-shard drift monitors *vote*, and on quorum the parent refits once and
-   swaps every worker from the next round on (each batch is tagged with the
-   model epoch that scored it).
+   **ShardedDetectionService** instead: N worker threads score batches
+   ahead, while thresholds, drift, the lifecycle and the sinks run in stream
+   order on the parent, so alerts, drift events, swaps and the model epoch
+   tagged on each batch are identical to the one-worker run.
 
 Run with::
 
@@ -55,11 +54,6 @@ from repro.serve import (
 )
 
 
-def make_drift_monitor() -> DriftMonitor:
-    """Per-shard monitor factory: one fresh monitor per worker."""
-    return DriftMonitor(window=1024, threshold=0.5, min_samples=512)
-
-
 def make_fused_detector(seed: int) -> FusionDetector:
     """Fresh unfitted fusion ensemble; doubles as the FullRefit factory."""
     return FusionDetector(
@@ -80,8 +74,8 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--registry", default=None,
                         help="registry directory (default: a temporary directory)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="shard the stream across this many workers "
-                        "(drift-triggered refits are coordinated either way)")
+                        help="score ahead on this many worker threads "
+                        "(results are identical either way)")
     parser.add_argument("--refit-window", type=int, default=2048,
                         help="clean-window buffer capacity refits train on")
     parser.add_argument("--shadow-rounds", type=int, default=3,
@@ -139,43 +133,27 @@ def main() -> None:
         serving_version=info.version,
         shadow=shadow,
     )
-    if args.workers > 1:
-        service = ShardedDetectionService(
-            served,
-            n_workers=args.workers,
-            threshold="rolling",
-            rolling_quantile=0.95,
-            drift_monitor_factory=make_drift_monitor,
-            lifecycle=lifecycle,
-            quorum=0.5,
-            sinks=[sink],
-        )
-    else:
-        service = DetectionService(
-            served,
-            threshold="rolling",
-            rolling_quantile=0.95,
-            drift_monitor=make_drift_monitor(),
-            sinks=[sink],
-            lifecycle=lifecycle,
-        )
+    sharded = {"n_workers": args.workers} if args.workers > 1 else {}
+    service = (ShardedDetectionService if sharded else DetectionService)(
+        served,
+        **sharded,
+        threshold="rolling",
+        rolling_quantile=0.95,
+        drift_monitor=DriftMonitor(window=1024, threshold=0.5, min_samples=512),
+        sinks=[sink],
+        lifecycle=lifecycle,
+    )
     stream = FlowStream(
         dataset,
         batch_size=args.batch_size,
         drift_strength=args.drift_strength,
         random_state=args.seed,
     )
-    if args.workers > 1:
-        print(
-            f"\nserving {stream.n_batches} batches of {args.batch_size} flows "
-            f"across {args.workers} thread workers "
-            f"(drift strength {args.drift_strength}, swap quorum 50%) ...\n"
-        )
-    else:
-        print(
-            f"\nserving {stream.n_batches} batches of {args.batch_size} flows "
-            f"(drift strength {args.drift_strength}) ...\n"
-        )
+    workers = f" on {args.workers} thread workers" if sharded else ""
+    print(
+        f"\nserving {stream.n_batches} batches of {args.batch_size} flows{workers} "
+        f"(drift strength {args.drift_strength}) ...\n"
+    )
     report = service.run(stream)
     print(report.summary())
 

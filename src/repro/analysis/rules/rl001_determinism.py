@@ -1,7 +1,9 @@
 """RL001 — determinism: no unseeded global RNG, no wall-clock in repro code.
 
 The serving stack's headline contract is that sequential and thread-sharded
-runs are bit-identical and every experiment replays from one integer seed.
+runs produce identical results (threads only score ahead; every stateful
+stage runs in stream order) and every experiment replays from one integer
+seed.
 One ``np.random.shuffle`` against the global state, or one ``time.time()``
 feeding a score/threshold, silently breaks that.  This rule flags, anywhere
 under the ``repro`` package:

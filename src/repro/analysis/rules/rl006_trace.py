@@ -39,7 +39,6 @@ PIPELINE_STAGES: dict[str, str] = {
     "drift_check": "repro/serve/service.py",
     "sink_emit": "repro/serve/service.py",
     "shadow_score": "repro/serve/service.py",
-    "round_submit": "repro/serve/parallel.py",
     "refit": "repro/serve/lifecycle/manager.py",
     "gate": "repro/serve/lifecycle/manager.py",
     "registry_publish": "repro/serve/lifecycle/manager.py",

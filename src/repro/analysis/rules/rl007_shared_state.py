@@ -1,11 +1,12 @@
 """RL007 — shared-state discipline: pool-submitted code must not mutate self.
 
-``ShardedDetectionService`` keeps thread-sharded results bit-identical to the
-sequential service by construction: everything submitted to a worker pool is
-a pure function of its arguments (a staticmethod or module-level function),
-and all shared-state mutation happens in parent-only code (the per-batch
-tail, the swap).  This rule pins the submit side of
-that contract inside any ``parallel.py`` under ``repro/serve/``:
+``ShardedDetectionService`` keeps thread-sharded results identical to the
+sequential service by construction: the one job submitted to its worker
+pool (scoring a batch ahead) is a pure function of the batch and the model,
+and every stage that touches state (quarantine bookkeeping, thresholds,
+drift, the per-batch tail, the swap) runs on the parent, in stream order.
+This rule pins the submit side of that contract inside any ``parallel.py``
+under ``repro/serve/``:
 
 - for every ``<pool>.submit(target, ...)`` call, the ``target`` is resolved
   within the module (``self._method`` / ``Class._method`` -> the method
@@ -16,7 +17,7 @@ that contract inside any ``parallel.py`` under ``repro/serve/``:
   parent and sibling workers share.
 
 Documented false-negative contract: only *direct* submit targets are
-analyzed — callees of the target (e.g. the shard-local service methods it
+analyzed — callees of the target (e.g. the inherited scoring method it
 calls) are not traced, aliased callables (``fn = self._work; pool.submit
 (fn)``) are not resolved, and mutations through method calls rather than
 attribute stores are invisible.  The rule is a tripwire for the obvious
@@ -116,7 +117,7 @@ class SharedStateRule(Rule):
                         f"`{name}` is submitted to a worker pool (line "
                         f"{submit_line}) but mutates shared state "
                         f"(`{description}`); move the mutation to the "
-                        "parent's round-boundary code",
+                        "parent's in-order serving code",
                         context=name,
                         line=lineno,
                     )

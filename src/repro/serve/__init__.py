@@ -17,10 +17,9 @@ fitted detector into something that can be *deployed*:
 * :mod:`repro.serve.fusion` — score-level fusion of several detectors
   (mean / max / conflict-aware PCR-style weighting) served as one model,
 * :mod:`repro.serve.parallel` — :class:`ShardedDetectionService`, a
-  :class:`DetectionService` whose score stage fans out to worker threads
-  with deterministic (round-robin or greedy least-loaded) sharding, alerts
-  and drift events in global order, and an epoch-tagged coordinated
-  hot-swap on drift quorum,
+  :class:`DetectionService` whose worker threads score batches ahead while
+  every other stage runs in stream order, so its results equal the
+  sequential service's,
 * :mod:`repro.serve.lifecycle` — :class:`LifecycleManager` and friends: the
   online *drift → refit → gate → publish → swap* loop (clean-window
   buffering, Full/Continual/NoRefit policies, quality gate),
@@ -31,8 +30,8 @@ fitted detector into something that can be *deployed*:
   deterministic :class:`FaultInjector` chaos harness behind
   ``repro serve --inject-faults``,
 * :mod:`repro.serve.telemetry` — the observability layer over all of the
-  above: a mergeable metrics registry (counters, gauges, log-bucketed
-  latency histograms that fold deterministically across workers), span
+  above: a metrics registry (counters, gauges, log-bucketed latency
+  histograms), span
   tracing of every pipeline stage (``serve --trace-file``), structured
   operator logging (``serve --log-level``), and auditable run reports with
   reproducibility hashes (``serve --run-dir`` / ``serve report``).

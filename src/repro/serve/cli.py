@@ -7,7 +7,7 @@ Usage examples::
     repro serve --dataset wustl_iiot --scale 0.002 --detector iforest \
         --drift-strength 2.0 --threshold rolling
 
-    # score the stream on 4 worker threads (alerts stay in stream order)
+    # score ahead on 4 worker threads (results identical to --workers 1)
     repro serve --dataset wustl_iiot --detector iforest --workers 4
 
     # publish the fitted model and serve from the registry afterwards
@@ -15,12 +15,12 @@ Usage examples::
     repro serve --dataset wustl_iiot --registry ./models --model knn-wustl_iiot
 
     # online refit: on drift, refit from the clean recent window, gate,
-    # republish and hot-swap (works sharded too: workers vote, and once the
-    # quorum is reached the swap covers every worker from the next round)
+    # republish and hot-swap (with --workers N too: the swap serves from the
+    # next batch on, exactly as with one worker)
     repro serve --dataset wustl_iiot --detector iforest --threshold rolling \
         --registry ./models --publish --refit full --refit-window 4096
     repro serve --dataset wustl_iiot --detector iforest --threshold rolling \
-        --registry ./models --publish --refit full --workers 4 --quorum 0.5
+        --registry ./models --publish --refit full --workers 4
 
     # shadow evaluation: a gate-passed candidate is double-scored alongside
     # the live model for N batches and only swaps on live-stream agreement
@@ -61,12 +61,9 @@ commands work as ``python -m repro.experiments.cli ...``.)
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import signal
 from pathlib import Path
-
-import numpy as np
 
 from repro.datasets.registry import load_dataset
 from repro.datasets.streaming import FlowStream
@@ -154,17 +151,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=1,
-        help="shard the stream across this many worker threads (1 = "
-        "sequential); batches are round-robin assigned and alerts are "
-        "emitted in stream order.  Without the native kernels scoring is "
-        "GIL-bound and threads lose to sequential (21k vs 44k rows/s on 2 "
-        "cores): use --workers 1 there",
-    )
-    serve.add_argument(
-        "--shard-mode", choices=["round_robin", "greedy"], default="round_robin",
-        help="batch-to-worker assignment with --workers > 1: strict "
-        "round-robin, or greedy least-loaded (deterministic; better balance "
-        "for ragged batch sizes)",
+        help="score up to 4 batches per worker ahead on this many threads "
+        "(1 = sequential); every other stage runs in stream order, so "
+        "results are identical to --workers 1.  Without the native kernels "
+        "scoring is GIL-bound and threads lose to sequential (32k vs 58k "
+        "rows/s on 2 cores): use --workers 1 there",
     )
     serve.add_argument(
         "--refit", choices=["off", "full", "continual"], default="off",
@@ -172,17 +163,11 @@ def _parser() -> argparse.ArgumentParser:
         "on the clean recent window, 'continual' routes the window through "
         "the model's continual update path; candidates must pass a quality "
         "gate, are republished to --registry when given, and hot-swap the "
-        "served model (with --workers > 1 the drift monitors vote, see "
-        "--quorum, and the swap covers every worker from the next round)",
+        "served model from the next batch on",
     )
     serve.add_argument(
         "--refit-window", type=int, default=4096,
         help="capacity of the clean-window buffer refits are trained on",
-    )
-    serve.add_argument(
-        "--quorum", type=float, default=0.5,
-        help="with --workers > 1 and --refit: fraction of workers whose "
-        "drift monitors must vote before the lifecycle reacts to drift",
     )
     serve.add_argument(
         "--shadow-rounds", type=int, default=0,
@@ -327,11 +312,6 @@ def _parser() -> argparse.ArgumentParser:
 def _split_model_selector(selector: str) -> tuple[str, str | None]:
     name, _, version = selector.partition("@")
     return name, (version or None)
-
-
-def _make_drift_monitor(ref_scores: np.ndarray, ref_X: np.ndarray) -> DriftMonitor:
-    """Per-shard drift-monitor factory (bound with ``functools.partial``)."""
-    return DriftMonitor().set_reference(ref_scores, ref_X)
 
 
 class _Terminated(Exception):
@@ -695,57 +675,32 @@ def _run_serve(args: argparse.Namespace) -> int:
         print(f"online refit on drift: policy={args.refit}, "
               f"window={args.refit_window} rows, {republish}{shadowing}")
 
-    if args.workers > 1:
-        if args.reload_on_drift:
+    on_drift = None
+    if args.reload_on_drift:
+        if registry is None or reload_selector is None:
             raise SystemExit(
-                "--reload-on-drift requires the sequential service (--workers 1); "
-                "use --refit for the coordinated swap across workers"
+                "--reload-on-drift requires --registry plus either --model or --publish"
             )
-        service: DetectionService = ShardedDetectionService(
-            detector,
-            n_workers=args.workers,
-            shard_mode=args.shard_mode,
-            threshold=threshold,
-            rolling_quantile=args.rolling_quantile,
-            micro_batch_size=args.micro_batch_size,
-            drift_monitor_factory=functools.partial(
-                _make_drift_monitor, ref_scores, normal
-            ),
-            lifecycle=lifecycle,
-            quorum=args.quorum,
-            sinks=sinks,
-            tracer=tracer,
-            metrics_every=args.metrics_every,
-        )
-        print(
-            f"sharding across {args.workers} thread workers "
-            f"({args.shard_mode} batches, events in stream order)"
-        )
-    else:
-        monitor = DriftMonitor()
-        monitor.set_reference(ref_scores, normal)
+        name, version = reload_selector
+        on_drift = make_registry_reload(registry, name, version=version)
 
-        on_drift = None
-        if args.reload_on_drift:
-            if registry is None or reload_selector is None:
-                raise SystemExit(
-                    "--reload-on-drift requires --registry plus either --model or --publish"
-                )
-            name, version = reload_selector
-            on_drift = make_registry_reload(registry, name, version=version)
-
-        service = DetectionService(
-            detector,
-            threshold=threshold,
-            rolling_quantile=args.rolling_quantile,
-            micro_batch_size=args.micro_batch_size,
-            drift_monitor=monitor,
-            sinks=sinks,
-            on_drift=on_drift,
-            lifecycle=lifecycle,
-            tracer=tracer,
-            metrics_every=args.metrics_every,
-        )
+    sharded = {"n_workers": args.workers} if args.workers > 1 else {}
+    service_class = ShardedDetectionService if sharded else DetectionService
+    service: DetectionService = service_class(
+        detector,
+        **sharded,
+        threshold=threshold,
+        rolling_quantile=args.rolling_quantile,
+        micro_batch_size=args.micro_batch_size,
+        drift_monitor=DriftMonitor().set_reference(ref_scores, normal),
+        sinks=sinks,
+        on_drift=on_drift,
+        lifecycle=lifecycle,
+        tracer=tracer,
+        metrics_every=args.metrics_every,
+    )
+    if sharded:
+        print(f"scoring ahead on {args.workers} thread workers (stages in stream order)")
     profiler: MemoryProfiler | None = None
     if args.profile_mem:
         profiler = MemoryProfiler(service.telemetry, tracer=tracer)

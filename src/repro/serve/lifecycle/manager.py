@@ -183,8 +183,8 @@ class LifecycleManager:
         self._shadow_trial: ShadowTrial | None = None
         #: Telemetry channel for the refit/gate/publish spans.  Left unset
         #: here: the serving service that adopts this manager wires its own
-        #: registry/tracer in (``DetectionService``/``ShardedDetectionService``
-        #: auto-wire on construction); unwired, the spans are no-ops.
+        #: registry/tracer in (``DetectionService`` auto-wires on
+        #: construction); unwired, the spans are no-ops.
         self.telemetry = None
         self.tracer = None
 
@@ -489,10 +489,8 @@ class LifecycleManager:
         """Full loop for one drift reaction: refit, gate, publish, swap.
 
         ``service`` must expose ``detector``, ``reload_detector`` and
-        ``epoch_`` (duck-typed: :class:`~repro.serve.service.DetectionService`;
-        a :class:`~repro.serve.parallel.ShardedDetectionService` calls this
-        once its shards' drift votes reach the quorum, and its
-        ``reload_detector`` swaps every shard).
+        ``epoch_`` (duck-typed: :class:`~repro.serve.service.DetectionService`
+        and its sharded subclass call this from their per-batch tail).
 
         Only a *refit* swap rebootstraps the drift monitor's feature
         reference: the candidate was trained on the post-drift window, so

@@ -133,9 +133,7 @@ class ShadowEvaluator:
     ----------
     rounds:
         Number of scored stream batches the candidate shadows before the
-        verdict.  In a sharded service the parent feeds the trial batch by
-        batch in global order, so the verdict is global (never per shard);
-        its swap takes effect from the next round.
+        verdict; a passing verdict's swap serves from the next batch on.
     min_agreement:
         Minimum rate-matched alert-decision overlap (see module docstring),
         in ``(0, 1]``.  When the live model raised no alert during the whole

@@ -23,7 +23,7 @@ online scorer with the operational pieces a deployment needs:
 * **telemetry** (:mod:`repro.serve.telemetry`) — every pipeline stage
   (quarantine scan, scoring, threshold update, drift check, sink emit,
   shadow double-score) runs under a :func:`~repro.serve.telemetry.trace_span`
-  feeding a mergeable :class:`~repro.serve.telemetry.MetricsRegistry`
+  feeding a :class:`~repro.serve.telemetry.MetricsRegistry`
   (``metrics_snapshot()``), with optional JSONL span traces (``tracer``) and
   a periodic :class:`~repro.serve.telemetry.MetricsEvent` through the sinks
   (``metrics_every``).
@@ -92,8 +92,8 @@ class BatchResult:
 
     ``model_epoch`` tags which served model scored the batch: it starts at 0
     and increments on every hot-swap (:meth:`DetectionService.reload_detector`),
-    so a consumer — and the sharded service's coordinated-swap tests — can
-    verify exactly which model version produced which scores.
+    so a consumer can verify exactly which model version produced which
+    scores.
     """
 
     index: int
@@ -104,11 +104,13 @@ class BatchResult:
     drift: DriftReport | None
     latency_s: float
     model_epoch: int = 0
-    #: Row indices (within the incoming batch) diverted to quarantine before
-    #: scoring — non-finite rows, or the whole batch when its feature width
-    #: broke the stream contract and ``quarantine_wrong_width`` is enabled.
-    #: Quarantined rows never reach the detector, the rolling threshold, the
-    #: drift monitor or the refit window, and do not consume sample indices.
+    #: Row indices (within the incoming batch) diverted to quarantine — rows
+    #: with a non-finite feature (before scoring), rows whose score came out
+    #: non-finite (reason ``score_nonfinite``), or the whole batch when its
+    #: feature width broke the stream contract and ``quarantine_wrong_width``
+    #: is enabled.  Quarantined rows never reach the alerts, the rolling
+    #: threshold, the drift monitor or the refit window, and do not consume
+    #: sample indices.
     quarantined: tuple[int, ...] = ()
     quarantine_reason: str | None = None
 
@@ -119,6 +121,15 @@ class BatchResult:
     @property
     def n_alerts(self) -> int:
         return len(self.alerts)
+
+
+def _finite_rows(X: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``X`` without its rows holding a non-finite value, and their indices."""
+    finite = np.isfinite(X).all(axis=1)
+    if finite.all():
+        return X, ()
+    dropped = tuple(int(i) for i in np.flatnonzero(~finite))
+    return np.ascontiguousarray(X[finite]), dropped
 
 
 @dataclass(frozen=True)
@@ -148,6 +159,11 @@ class ServiceReport:
     n_drift_events: int = 0
     drift_batches: list[int] = field(default_factory=list)
     total_time_s: float = 0.0
+    #: Scored rows per second.  :class:`DetectionService` divides by the
+    #: summed score-stage time of its batches; the sharded service
+    #: (:class:`~repro.serve.parallel.ShardedDetectionService`) divides by the
+    #: wall-clock time of its ``process`` calls, so the two rates measure
+    #: different quantities and do not compare one to one.
     throughput_samples_per_sec: float = 0.0
     mean_batch_latency_s: float = 0.0
     batch_latency_p50_s: float = 0.0
@@ -226,8 +242,8 @@ class DetectionService:
         ``sink_disabled`` event reaches the surviving sinks) — a broken
         pager must never kill the scoring loop.
     quarantine_wrong_width:
-        Diagnosed poison rows — any row with a non-finite feature — are
-        *always* diverted to quarantine before scoring (a
+        Diagnosed poison rows — any row with a non-finite feature, or whose
+        score comes out non-finite — are *always* diverted to quarantine (a
         :class:`~repro.serve.faults.QuarantinedRows` event records their
         indices).  Set this flag to additionally quarantine a whole batch
         whose feature width breaks the stream contract instead of raising;
@@ -251,20 +267,17 @@ class DetectionService:
         :data:`~repro.serve.telemetry.DISABLED` to switch instrumentation
         off entirely.  ``metrics_snapshot()`` exports the registry.
     tracer:
-        Optional :class:`~repro.serve.telemetry.SpanTracer` (or
-        :class:`~repro.serve.telemetry.SpanBuffer` inside shard workers);
-        when set, every pipeline-stage span is also appended to its JSONL
-        trace file (``repro serve --trace-file``).
+        Optional :class:`~repro.serve.telemetry.SpanTracer` (or an in-memory
+        :class:`~repro.serve.telemetry.SpanBuffer`); when set, every
+        pipeline-stage span is also appended to its JSONL trace file
+        (``repro serve --trace-file``).
     trace_context:
         Optional :class:`~repro.serve.telemetry.TraceContext` giving every
         recorded span deterministic ``trace_id``/``span_id``/
         ``parent_span_id`` fields: each batch runs under one ``batch`` span
-        whose children are the stage spans.  Defaults to a fresh root
-        context whenever a ``tracer`` is attached.  The sharded service
-        hands each shard service a per-round fork instead, so a shard's
-        batch spans (score stage only) nest under the parent's
-        ``round_submit`` span, while the tail's ``sink_emit`` spans stay at
-        the root exactly as in a sequential run.
+        whose children are the stage spans (``sink_emit`` spans sit at the
+        root).  Defaults to a fresh root context whenever a ``tracer`` is
+        attached.
     metrics_every:
         Emit a :class:`~repro.serve.telemetry.MetricsEvent` carrying the
         current metrics snapshot through the sinks every N batches
@@ -325,8 +338,8 @@ class DetectionService:
         self.trace_context = trace_context
         #: Optional liveness/profiling hooks (``repro serve --status-port`` /
         #: ``--profile-mem``): the watchdog beats and the profiler samples
-        #: once per completed batch.  Plain attributes so the sharded service
-        #: and the CLI can attach them without widening every signature.
+        #: once per completed batch.  Plain attributes so the CLI can attach
+        #: them without widening every signature.
         self.heartbeat: Any = None
         self.profiler: Any = None
         self.metrics_every = metrics_every
@@ -418,6 +431,10 @@ class DetectionService:
             )
         return X
 
+    def _score_served(self, X: np.ndarray) -> np.ndarray:
+        """The served model's scores for the rows of ``X`` (the score stage)."""
+        return self._score_micro_batched(X)
+
     def _score_micro_batched(
         self, X: np.ndarray, detector: Any | None = None
     ) -> np.ndarray:
@@ -474,13 +491,8 @@ class DetectionService:
     def _emit(self, event: Any) -> None:
         if not self.sinks:
             return
-        # Span only when there are sinks to pay for: the sharded service's
-        # sinkless shard workers record no emit spans, so folding their
-        # registries into the sink-owning parent's matches a sequential run.
-        # Emit spans parent to the *root* context, not the current batch: the
-        # sharded parent runs the per-batch tail outside the shards' batch
-        # spans, so root-level sink_emit is the one placement every mode
-        # agrees on.
+        # Span only when there are sinks to pay for.  Emit spans parent to
+        # the *root* context, not the current batch.
         with trace_span(
             "sink_emit",
             metrics=self.telemetry,
@@ -511,18 +523,19 @@ class DetectionService:
         an empty window would otherwise raise at stream start.  Their
         :attr:`BatchResult.threshold` is ``nan``.
 
-        Rows with non-finite features are quarantined *before* scoring: they
-        are cut from the batch, announced via a
+        Rows with non-finite features are quarantined *before* scoring, and
+        rows whose score comes out non-finite (finite but extreme features)
+        right after it: they are cut from the batch, announced via a
         :class:`~repro.serve.faults.QuarantinedRows` event, and never touch
-        the rolling threshold, the drift monitor, or the lifecycle's refit
-        window.  They also do not consume sample indices, so the surviving
-        alerts are identical to a run on the stream with those rows deleted.
+        the alerts, the rolling threshold, the drift monitor, or the
+        lifecycle's refit window.  They also do not consume sample indices,
+        so the surviving alerts are identical to a run on the stream with
+        those rows deleted.
 
-        The batch runs in two stages under one ``batch`` span: the
-        worker-safe score stage (:meth:`_score_stage`) and the per-batch
-        tail (:meth:`_finish_batch`).  With a trace context the stage spans
-        nest under the batch span, so every batch forms one subtree of the
-        trace in every worker mode.
+        The batch runs in two stages under one ``batch`` span: the score
+        stage (:meth:`_score_stage`) and the per-batch tail
+        (:meth:`_finish_batch`).  With a trace context the stage spans nest
+        under the batch span, so every batch forms one subtree of the trace.
         """
         with self._batch_span(self.n_batches_) as batch_span:
             # Resolved before scoring: a trial that *starts* during this
@@ -536,10 +549,8 @@ class DetectionService:
     ) -> _ScoredBatch:
         """Quarantine scan, score, threshold, shadow score, drift check.
 
-        Touches only this service's own rolling window, drift monitor,
-        registry and tracer, and emits nothing — so the sharded service runs
-        it on worker threads, one shard service per worker.  Everything that
-        must happen in stream order is left to :meth:`_finish_batch`.
+        Emits nothing: announcements, alerts and reactions are left to
+        :meth:`_finish_batch`.
         """
         ctx = batch_span.ctx
         batch_index = batch_span.batch_index
@@ -570,13 +581,14 @@ class DetectionService:
                 batch_index=batch_index,
                 context=ctx,
             ):
-                finite = np.isfinite(X).all(axis=1)
-                if not finite.all():
-                    quarantined = tuple(int(i) for i in np.flatnonzero(~finite))
+                X, quarantined = _finite_rows(X)
+                if quarantined:
                     quarantine_reason = "non-finite feature values"
-                    X = np.ascontiguousarray(X[finite])
         model_epoch = self.epoch_  # a swap in the tail must not retag
         shadow_scores: np.ndarray | None = None
+        scores = np.empty(0, dtype=np.float64)
+        threshold = float("nan")
+        predictions = np.empty(0, dtype=np.int64)
         accumulated = self.timer.total
         n_rows = int(X.shape[0])
         batch_span.rows = n_rows
@@ -590,7 +602,21 @@ class DetectionService:
                     batch_index=batch_index,
                     context=ctx,
                 ):
-                    scores = self._score_micro_batched(X)
+                    scores = self._score_served(X)
+                finite = np.isfinite(scores)
+                if not finite.all():
+                    # An inf/nan score would alert and poison the rolling
+                    # window and the drift statistics: quarantine its row.
+                    incoming = np.arange(n_rows + len(quarantined))
+                    scored_rows = np.delete(incoming, list(quarantined))
+                    quarantined = tuple(
+                        sorted((*quarantined, *map(int, scored_rows[~finite])))
+                    )
+                    quarantine_reason = "; ".join(
+                        filter(None, (quarantine_reason, "score_nonfinite"))
+                    )
+                    X, scores = np.ascontiguousarray(X[finite]), scores[finite]
+            if scores.size:
                 # Threshold comes from the window *before* this batch (else a
                 # burst of anomalies would inflate its own threshold and evade
                 # alerting); only then does the batch enter the window.
@@ -611,17 +637,13 @@ class DetectionService:
                         "shadow_score",
                         metrics=self.telemetry,
                         tracer=self.tracer,
-                        rows=n_rows,
+                        rows=int(scores.size),
                         batch_index=batch_index,
                         context=ctx,
                     ):
                         shadow_scores = self._score_micro_batched(
                             X, shadow_detector
                         )
-            else:
-                scores = np.empty(0, dtype=np.float64)
-                threshold = float("nan")
-                predictions = np.empty(0, dtype=np.int64)
         latency = self.timer.total - accumulated
         drift_report: DriftReport | None = None
         if scores.size:
@@ -656,9 +678,7 @@ class DetectionService:
         Quarantine announcement, alerts, the lifecycle's refit window, the
         drift reaction, the shadow trial, counters, the periodic metrics
         event and the heartbeat/profiler hooks.  The batch and sample
-        indices come from this service's counters, so the sharded parent —
-        which runs this tail for each batch in global order — hands out
-        global indices exactly like a sequential run.
+        indices come from this service's counters.
         """
         batch_index = self.n_batches_
         offset = self.n_samples_
@@ -694,12 +714,17 @@ class DetectionService:
             self._m_drift.inc()
             self.drift_batches_.append(batch_index)
             self._emit(DriftEvent(batch_index=batch_index, report=drift_report))
-            self._react_to_drift(scored)
+            if self.lifecycle is not None:
+                self.lifecycle.handle_drift(self, drift_report)
+            elif self.on_drift is not None:
+                self.on_drift(self, drift_report)
         # After the drift reaction (a pending trial makes handle_drift skip),
         # feed the shadow trial; a completed trial swaps (shadow_pass) or
         # discards the candidate (shadow_reject) — only then does epoch_ move.
         if scored.shadow_scores is not None:
-            self._feed_shadow(scored)
+            self.lifecycle.handle_shadow(
+                self, scores, threshold, scored.shadow_scores
+            )
 
         n_rows = int(scores.shape[0])
         self.n_batches_ += 1
@@ -729,19 +754,6 @@ class DetectionService:
             model_epoch=scored.model_epoch,
             quarantined=scored.quarantined,
             quarantine_reason=scored.quarantine_reason,
-        )
-
-    def _react_to_drift(self, scored: _ScoredBatch) -> None:
-        """Drift reaction to a firing batch: the lifecycle loop or on_drift."""
-        if self.lifecycle is not None:
-            self.lifecycle.handle_drift(self, scored.drift)
-        elif self.on_drift is not None:
-            self.on_drift(self, scored.drift)
-
-    def _feed_shadow(self, scored: _ScoredBatch) -> Any:
-        """Feed the open shadow trial; returns its verdict event, if any."""
-        return self.lifecycle.handle_shadow(
-            self, scored.scores, scored.threshold, scored.shadow_scores
         )
 
     # -- stream consumption ------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The observability substrate for :mod:`repro.serve`, in four pieces:
 
-* :mod:`~repro.serve.telemetry.metrics` — process-local, mergeable
+* :mod:`~repro.serve.telemetry.metrics` — process-local
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments behind
   a :class:`MetricsRegistry` with a dict :meth:`~MetricsRegistry.snapshot`,
   a :class:`MetricsEvent` for the sink fabric, and
@@ -12,9 +12,8 @@ The observability substrate for :mod:`repro.serve`, in four pieces:
   — :func:`trace_span` wraps each pipeline stage, recording wall time + rows
   into the registry and optionally to a :class:`SpanTracer` JSONL file
   (``serve --trace-file``); with a :class:`TraceContext` attached every span
-  carries deterministic ``trace_id``/``span_id``/``parent_span_id`` ids that
-  survive the worker-thread boundary (:class:`SpanBuffer` hands worker
-  spans back to the coordinator).
+  carries deterministic ``trace_id``/``span_id``/``parent_span_id`` ids
+  (:class:`SpanBuffer` keeps spans in memory instead of a file).
 * :mod:`~repro.serve.telemetry.traceview` — the ``repro trace`` analyzer:
   tree reconstruction, per-stage aggregation, critical paths and
   ``--budget`` latency gates over span-JSONL files.

@@ -2,25 +2,19 @@
 
 :class:`MetricsRegistry` holds named :class:`Counter` / :class:`Gauge` /
 :class:`Histogram` instruments with a flat dict export
-(:meth:`MetricsRegistry.snapshot`).  Three properties shape the design:
+(:meth:`MetricsRegistry.snapshot`).  Two properties shape the design:
 
 * **O(1) memory** — histograms bucket observations into a *fixed* log-spaced
   boundary grid (:func:`log_spaced_buckets`); only the per-bucket counts plus
   exact ``count``/``sum``/``min``/``max`` accumulate, never the samples.
   Percentiles (:meth:`Histogram.percentile`) are estimated from the bucket
   counts by geometric interpolation, clamped to the observed range.
-* **Mergeable** — every instrument folds another instance of itself
-  (:meth:`MetricsRegistry.merge` / :meth:`MetricsRegistry.fold`), which is
-  how the sharded service folds its workers' registries into one global view.
-  Counter and histogram merges are commutative sums; gauges adopt the last
-  value *in fold order*, so folding shards in global shard order keeps the
-  merged view deterministic.
 * **Deterministic counter values** — counts (batches, rows, events, span
   calls) depend only on the stream, never on timing, so sequential and
   thread runs over the same stream produce identical values.  Wall-time
   *observations* obviously differ run to run; :func:`deterministic_view`
   strips them from a snapshot, leaving exactly the subset two runs of any
-  worker mode must agree on (used by the metrics-merge determinism tests).
+  worker mode must agree on (used by the sequential-vs-sharded tests).
 
 Everything here is plain Python + tuples, so a registry pickles cheaply.  A
 :class:`MetricsEvent` wraps a snapshot for the ordinary sink fabric
@@ -49,7 +43,7 @@ def log_spaced_buckets(lo: float, hi: float, n: int) -> tuple[float, ...]:
     """``n`` log-spaced upper bounds from ``lo`` to ``hi`` (inclusive).
 
     ``bounds[i] = lo * (hi/lo)**(i/(n-1))`` — a fixed geometric grid, so two
-    histograms built from the same parameters always merge.
+    histograms built from the same parameters share their buckets.
     """
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi for log-spaced buckets")
@@ -87,19 +81,14 @@ class Counter:
             raise ValueError("counters only go up")
         self.value += amount
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
     def export(self) -> dict:
         return {"value": self.value, "unit": self.unit}
 
 
 class Gauge:
-    """Last-set value.  Merging adopts the other gauge's value when it was
-    ever set, so folding registries *in global order* makes "last writer wins"
-    deterministic.  ``n_sets`` counts writes (and rides through merges)."""
+    """Last-set value."""
 
-    __slots__ = ("name", "unit", "help", "value", "n_sets")
+    __slots__ = ("name", "unit", "help", "value")
     kind = "gauge"
 
     def __init__(self, name: str, *, unit: str = "value", help: str = "") -> None:
@@ -107,16 +96,9 @@ class Gauge:
         self.unit = unit
         self.help = help
         self.value = 0.0
-        self.n_sets = 0
 
     def set(self, value: float) -> None:
         self.value = float(value)
-        self.n_sets += 1
-
-    def merge(self, other: "Gauge") -> None:
-        if other.n_sets:
-            self.value = other.value
-        self.n_sets += other.n_sets
 
     def export(self) -> dict:
         return {"value": self.value, "unit": self.unit}
@@ -192,18 +174,6 @@ class Histogram:
                 return float(min(self.max, max(self.min, estimate)))
         return float(self.max)  # pragma: no cover - counts always sum to count
 
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r}: bucket bounds differ"
-            )
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     def export(self) -> dict:
         empty = self.count == 0
         return {
@@ -224,9 +194,7 @@ class _NullInstrument:
     """No-op stand-in with every instrument's write API (see :data:`DISABLED`)."""
 
     __slots__ = ()
-    bounds: tuple[float, ...] = ()
     value = 0
-    n_sets = 0
     count = 0
     sum = 0.0
     min = 0.0
@@ -243,9 +211,6 @@ class _NullInstrument:
 
     def percentile(self, q: float) -> float:
         return 0.0
-
-    def merge(self, other: Any) -> None:
-        pass
 
     def export(self) -> dict:
         return {}
@@ -308,44 +273,6 @@ class MetricsRegistry:
     def names(self) -> list[str]:
         return sorted(self._instruments)
 
-    # -- merging -----------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other``'s instruments into this registry (in ``other``'s
-        name order); missing instruments are created with matching config."""
-        for name in sorted(other._instruments):
-            instrument = other._instruments[name]
-            if instrument.kind == "counter":
-                mine = self.counter(name, unit=instrument.unit, help=instrument.help)
-            elif instrument.kind == "gauge":
-                mine = self.gauge(name, unit=instrument.unit, help=instrument.help)
-            else:
-                mine = self.histogram(
-                    name,
-                    unit=instrument.unit,
-                    buckets=instrument.bounds,
-                    help=instrument.help,
-                )
-            if mine.unit != instrument.unit:
-                raise ValueError(
-                    f"cannot merge metric {name!r}: unit "
-                    f"{instrument.unit!r} != {mine.unit!r}"
-                )
-            mine.merge(instrument)
-        return self
-
-    @classmethod
-    def fold(cls, registries: Iterable["MetricsRegistry"]) -> "MetricsRegistry":
-        """Pure merge of ``registries`` (in the given order) into a fresh one.
-
-        The sharded service folds ``[parent, shard 0, shard 1, ...]`` — a
-        deterministic global order — every time a snapshot is needed, so
-        repeated folding never double-counts.
-        """
-        merged = cls()
-        for registry in registries:
-            merged.merge(registry)
-        return merged
-
     # -- export ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Flat dict export: ``{"counters": ..., "gauges": ..., "histograms":
@@ -383,9 +310,6 @@ class _DisabledRegistry(MetricsRegistry):
     def histogram(self, name: str, **kwargs: Any) -> Any:  # type: ignore[override]
         return _NULL_INSTRUMENT
 
-    def merge(self, other: MetricsRegistry) -> MetricsRegistry:
-        return self
-
     def snapshot(self) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
@@ -416,8 +340,8 @@ def deterministic_view(snapshot: Mapping[str, Any]) -> dict:
     Keeps every counter whose unit is not ``"seconds"``, every non-seconds
     histogram in full, and only the *count* of seconds histograms (how many
     latencies were observed is deterministic; their values are not).  Gauges
-    are dropped: a gauge holds "the last batch's value", and which shard
-    scored the globally-last batch is mode-dependent.
+    are dropped: a gauge holds "the last batch's value", which a detector
+    scoring ahead on a worker thread may have overwritten already.
     """
     counters = {
         name: entry

@@ -8,16 +8,15 @@ structure), and derives:
 
 * a per-stage aggregation table (count, total, mean, exact p50/p95/p99, max);
 * a text tree / gantt rendering of the span forest;
-* the critical path per round — the greedy longest-duration chain from each
+* the critical path — the greedy longest-duration chain from each
   top-level span down to a leaf;
 * ``--budget stage=ms`` assertions (repeatable) checked against a chosen
   aggregate (``--budget-metric``, default ``p95``) — any violation makes
   :func:`main` return 1, which is what CI latency gates key off.
 
 :func:`tree_shape` and :func:`stage_multiset` are the comparison helpers the
-cross-mode tests use: sequential and thread runs of one stream must
-produce identical shapes (after eliding the coordinator-only
-``round_submit`` wrapper when comparing against sequential).
+cross-mode tests use: sequential and thread-sharded runs of one stream must
+produce identical shapes.
 
 The reader is tolerant by design: a line that does not parse as a JSON
 object (e.g. the torn tail of a run killed harder than SIGTERM) is skipped,
@@ -171,8 +170,8 @@ def tree_shape(
 
     Two runs have the same *tree shape* iff these structures are equal —
     ids and timings are dropped, parent/child edges and sibling order (by
-    span id) are kept.  ``elide`` splices wrapper stages out so a sharded
-    run's tree can be compared against a sequential one.
+    span id) are kept.  ``elide`` splices wrapper stages out, promoting
+    their children.
     """
 
     def shape(node: SpanNode) -> tuple:

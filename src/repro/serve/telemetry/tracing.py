@@ -1,8 +1,8 @@
 """Pipeline span tracing for the serving stack.
 
 :func:`trace_span` wraps one pipeline stage (quarantine scan, micro-batched
-scoring, threshold update, drift check, sink emit, worker round submit/merge,
-refit, gate, shadow double-score, registry publish) in a context manager that
+scoring, threshold update, drift check, sink emit, refit, gate, shadow
+double-score, registry publish) in a context manager that
 records the stage's wall time into a ``stage.<name>.seconds`` histogram and
 its row count into a ``stage.<name>.rows`` counter on a
 :class:`~repro.serve.telemetry.metrics.MetricsRegistry` — and, when a
@@ -16,10 +16,9 @@ span additionally carries ``trace_id`` / ``span_id`` / ``parent_span_id``
 are appended at ``__exit__``, so a JSONL trace lists children *before* their
 parents; readers must rebuild the tree from the ids, not the line order.
 
-:class:`SpanBuffer` is the tracer stand-in for worker threads: it has the
-same ``record`` API but accumulates span dicts in memory so a shard can hand
-its spans back to the coordinator with its round results, which flushes them
-to the real tracer in global shard order (deterministic file content).
+:class:`SpanBuffer` is the in-memory tracer: it has the same ``record`` API
+but accumulates span dicts in a list, to inspect or flush to a real tracer
+later.
 
 The span object is a tiny ``__slots__`` class rather than a
 ``@contextmanager`` generator: it sits inside the per-batch hot loop, and a
@@ -107,11 +106,8 @@ class SpanTracer:
 class SpanBuffer:
     """In-memory tracer with :class:`SpanTracer`'s ``record`` API.
 
-    Thread shards record into a buffer instead of a file; the coordinator
-    flushes :attr:`spans` to the real tracer in shard order after the round.
-    ``t_offset_s`` values are relative to *this buffer's* construction (the
-    worker's own clock); ids, not timestamps, are the cross-worker
-    invariant.
+    ``t_offset_s`` values are relative to *this buffer's* construction;
+    :meth:`flush_to` appends the buffered spans to another tracer.
     """
 
     __slots__ = ("spans", "n_spans", "_origin")

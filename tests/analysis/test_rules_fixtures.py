@@ -76,17 +76,10 @@ def test_good_twin_is_clean(rule_id):
     assert findings == []
 
 
-#: RL006 treats ``parallel.py`` as a stage home module, so the RL007 good twin
-#: (which legitimately declares no trace spans) gets a neutral path here; its
-#: own-rule cleanliness is covered by test_good_twin_is_clean above.
-FULL_SET_PATH_OVERRIDES = {"RL007": "src/repro/serve/fixture_parallel_demo.py"}
-
-
 @pytest.mark.parametrize("rule_id", sorted(CASES))
 def test_good_twin_is_clean_under_full_rule_set(rule_id):
     """The good twins survive every rule, not just their own."""
     _, good_fixture, pretend_path = CASES[rule_id]
-    pretend_path = FULL_SET_PATH_OVERRIDES.get(rule_id, pretend_path)
     source = (FIXTURES / good_fixture).read_text(encoding="utf-8")
     module = parse_module(source, pretend_path)
     result = lint_parsed(LintContext(modules=[module]))

@@ -430,6 +430,57 @@ class TestQuarantine:
         assert service.report().n_quarantined == 6
         assert any(isinstance(e, QuarantinedRows) for e in sink.events)
 
+    def test_nonfinite_scores_are_quarantined(self, tiny_scenario):
+        # Finite but extreme features overflow CND-IDS's reconstruction
+        # error to inf: those rows must not alert, enter the rolling window,
+        # the drift monitor or the refit window, nor take a sample index.
+        from repro.core import CNDIDS
+
+        method = CNDIDS(input_dim=tiny_scenario.n_features, epochs=1, random_state=0)
+        method.setup(tiny_scenario.clean_normal)
+        experience = next(iter(tiny_scenario))
+        method.fit_experience(experience.X_train)
+        monitor = DriftMonitor(window=256, min_samples=16)
+        lifecycle = LifecycleManager(NoRefit(), buffer=WindowBuffer(512))
+        sink = ListSink()
+        service = DetectionService(
+            method,
+            threshold="rolling",
+            min_rolling=1,
+            drift_monitor=monitor,
+            lifecycle=lifecycle,
+            sinks=[sink],
+        )
+        X = experience.X_test[:20].copy()
+        X[[3, 8, 9, 15]] = 1e200
+        with np.errstate(over="ignore"):
+            result = service.process_batch(X)
+            assert np.isinf(method.score_samples(X[[3]])).all()
+        assert result.quarantined == (3, 8, 9, 15)
+        assert result.quarantine_reason == "score_nonfinite"
+        assert service.n_quarantined_ == 4
+        assert result.scores.shape == (16,) and np.isfinite(result.scores).all()
+        assert all(np.isfinite(a.score) for a in result.alerts)
+        assert [a.sample_index for a in result.alerts] == [
+            int(i) for i in np.flatnonzero(result.predictions)
+        ]
+        assert service._rolling.count == 16
+        assert monitor._scores.count == 16
+        assert lifecycle.buffer.count <= 16
+        assert np.isfinite(lifecycle.buffer.values()).all()
+        (event,) = [e for e in sink.events if isinstance(e, QuarantinedRows)]
+        assert (event.row_indices, event.reason) == ((3, 8, 9, 15), "score_nonfinite")
+        assert service.n_samples_ == 16
+
+        # Mixed with a non-finite feature row: indices stay those of the
+        # incoming batch, and both reasons are named.
+        X[0] = np.nan
+        with np.errstate(over="ignore"):
+            mixed = service.process_batch(X)
+        assert mixed.quarantined == (0, 3, 8, 9, 15)
+        assert mixed.quarantine_reason == "non-finite feature values; score_nonfinite"
+        assert service.n_samples_ == 16 + 15
+
     def test_fully_poisoned_batch_keeps_the_report_strict_json(self, fitted):
         _, normal, detector = fitted
         service = DetectionService(detector, threshold="rolling")
@@ -461,7 +512,6 @@ class TestChaosAcceptance:
             n_workers=2,
             mode="thread",
             threshold="auto",
-            batches_per_round=4,
             sinks=[raising, healthy],
         )
         results = list(sharded.process(injector.corrupt_stream(batches)))

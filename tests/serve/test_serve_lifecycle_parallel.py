@@ -1,17 +1,13 @@
-"""Coordinated hot-swap + end-to-end lifecycle acceptance.
+"""Hot-swap under sharding + end-to-end lifecycle acceptance.
 
 The contract under test (see :mod:`repro.serve.parallel`):
 
-* per-shard drift monitors only *vote*; the parent refits once on quorum and
-  swaps every worker from the next round on, so within any round all shards
-  score with the same epoch-tagged model;
 * on a stream with injected covariate drift (``datasets.streaming``), the
   service detects drift, refits from the clean window, republishes to the
   registry, and post-swap alert precision/recall recovers to within
   tolerance of a model fit directly on post-drift data — sequential and
-  sharded;
-* the opt-in greedy shard assignment stays deterministic and keeps the
-  global stream order.
+  sharded, with the sharded swaps landing on the same batches;
+* a shadow trial is fed only batches scored after it opened.
 """
 
 from __future__ import annotations
@@ -23,12 +19,10 @@ from repro.datasets.streaming import inject_drift
 from repro.metrics.classification import precision_score, recall_score
 from repro.novelty import IsolationForest
 from repro.serve import (
-    Alert,
     DetectionService,
     DriftMonitor,
     FullRefit,
     LifecycleManager,
-    ListSink,
     ModelRegistry,
     ShadowEvaluator,
     ShardedDetectionService,
@@ -158,82 +152,40 @@ class TestEndToEndRecovery:
     @pytest.mark.parametrize("mode", ["thread"])
     def test_sharded_coordinated_swap_recovers(self, drifted_stream, tmp_path, mode):
         train, X, y, detector = drifted_stream
-        registry, manager = _lifecycle(detector, tmp_path / mode)
-        service = ShardedDetectionService(
-            detector,
-            n_workers=2,
-            mode=mode,
-            threshold="rolling",
-            rolling_window=1024,
-            rolling_quantile=QUANTILE,
-            min_rolling=64,
-            drift_monitor_factory=_monitor_factory,
-            lifecycle=manager,
-            quorum=0.5,
-        )
-        results = list(service.process(_batches(X)))
-
-        assert service.n_swaps_ >= 1 and service.epoch_ >= 1
-        assert registry.latest_version("ids") >= 2
-        # every worker scored every round with the same epoch-tagged model
-        round_size = service.n_workers * service.batches_per_round
-        epochs_per_round: dict[int, set[int]] = {}
-        for result in results:
-            epochs_per_round.setdefault(result.index // round_size, set()).add(
-                result.model_epoch
+        runs = {}
+        for kind in ("sequential", mode):
+            registry, manager = _lifecycle(detector, tmp_path / kind)
+            sharded = {"n_workers": 2} if kind == mode else {}
+            service = (ShardedDetectionService if sharded else DetectionService)(
+                detector,
+                **sharded,
+                threshold="rolling",
+                rolling_window=1024,
+                rolling_quantile=QUANTILE,
+                min_rolling=64,
+                drift_monitor=_monitor_factory(),
+                lifecycle=manager,
             )
-        assert all(len(epochs) == 1 for epochs in epochs_per_round.values())
-        # epochs only move at round boundaries, monotonically
-        ordered = [
-            next(iter(epochs_per_round[r])) for r in sorted(epochs_per_round)
-        ]
-        assert ordered == sorted(ordered)
-        # a swap lands mid-tail, and the rest of that round was scored by the
-        # superseded model: its firings cast no vote, so the epoch rises by
-        # at most one per round
-        assert all(b - a <= 1 for a, b in zip([0, *ordered], ordered))
+            runs[kind] = (list(service.process(_batches(X))), service, registry)
+        results, service, registry = runs[mode]
+
+        assert service.epoch_ >= 1
+        assert registry.latest_version("ids") >= 2
+        # The swaps land on the same batches as in the sequential service,
+        # and every batch carries the same epoch and predictions.
+        sequential = runs["sequential"][0]
+        assert [r.model_epoch for r in results] == [r.model_epoch for r in sequential]
+        for ours, theirs in zip(results, sequential):
+            np.testing.assert_array_equal(ours.predictions, theirs.predictions)
         _assert_recovered(X, y, results, service.epoch_, detector)
 
 
 class TestCoordination:
-    def test_full_quorum_accumulates_votes_across_rounds(
-        self, drifted_stream, tmp_path
-    ):
-        # quorum=1.0 with 2 workers: a single shard firing must not swap;
-        # votes accumulate until *both* shards have flagged drift.
-        train, X, y, detector = drifted_stream
-        registry, manager = _lifecycle(detector, tmp_path)
-        service = ShardedDetectionService(
-            detector,
-            n_workers=2,
-            mode="thread",
-            threshold="rolling",
-            rolling_quantile=QUANTILE,
-            min_rolling=64,
-            drift_monitor_factory=_monitor_factory,
-            lifecycle=manager,
-            quorum=1.0,
-        )
-        swaps_seen = 0
-        voters_before_swap: set[int] = set()
-        round_size = service.n_workers * service.batches_per_round
-        pending: set[int] = set()
-        for result in service.process(_batches(X)):
-            if result.drift is not None and result.drift.drifted:
-                pending.add(result.index % 2)  # round-robin: shard = g % 2
-            if service.n_swaps_ > swaps_seen:
-                swaps_seen = service.n_swaps_
-                voters_before_swap = set(pending)
-                pending.clear()
-        assert swaps_seen >= 1
-        assert voters_before_swap == {0, 1}
-
     def test_a_trial_never_sees_shadow_scores_from_before_it_opened(self):
-        # batches_per_round=4 with 2 workers: rounds of 8 batches.  Batch 15
-        # closes round 1 and opens trial 1; round 2 is double-scored with its
-        # candidate, and the one-batch trial is rejected at batch 16.  Batch
-        # 17's firing then opens trial 2 mid-round: the rest of round 2 still
-        # carries trial 1's candidate scores, so trial 2 must wait for round 3.
+        # Batch 15 opens trial 1; batch 16 is double-scored with its
+        # candidate and the one-batch trial is rejected there.  Batch 17's
+        # firing opens trial 2, whose first shadow batch is 18: a trial is
+        # fed only batches scored after it opened, exactly as sequentially.
         class _MarkerMonitor:
             def update(self, scores, X):
                 return DriftReport(
@@ -261,7 +213,6 @@ class TestCoordination:
             threshold="auto",
             drift_monitor_factory=_MarkerMonitor,
             lifecycle=manager,
-            quorum=0.5,
         )
         decided_at: list[tuple[str, int]] = []
         for result in service.process(batches):
@@ -273,78 +224,5 @@ class TestCoordination:
             ("shadow_start", 15),
             ("shadow_reject", 16),
             ("shadow_start", 17),
-            ("shadow_reject", 24),
+            ("shadow_reject", 18),
         ]
-
-    def test_lifecycle_requires_drift_monitor_factory(self, drifted_stream):
-        _, _, _, detector = drifted_stream
-        manager = LifecycleManager(FullRefit(_factory))
-        with pytest.raises(ValueError, match="drift votes"):
-            ShardedDetectionService(detector, lifecycle=manager)
-
-    def test_quorum_validation(self, drifted_stream):
-        _, _, _, detector = drifted_stream
-        with pytest.raises(ValueError, match="quorum"):
-            ShardedDetectionService(detector, quorum=0.0)
-        with pytest.raises(ValueError, match="shard_mode"):
-            ShardedDetectionService(detector, shard_mode="random")
-
-
-class TestGreedyShardAssignment:
-    def test_assignment_is_least_loaded_and_deterministic(self, drifted_stream):
-        _, _, _, detector = drifted_stream
-        service = ShardedDetectionService(
-            detector, n_workers=2, shard_mode="greedy"
-        )
-        items = [
-            (0, np.zeros((1000, 8))),
-            (1, np.zeros((10, 8))),
-            (2, np.zeros((10, 8))),
-            (3, np.zeros((980, 8))),
-            (4, np.zeros((10, 8))),
-        ]
-        # g0 loads worker 0; the small batches then pile on worker 1 until
-        # its row count passes worker 0's
-        assert service._assign_round(items) == {0: 0, 1: 1, 2: 1, 3: 1, 4: 0}
-
-    @pytest.mark.parametrize("mode", ["thread"])
-    def test_greedy_matches_sequential_alerts_on_ragged_batches(
-        self, drifted_stream, mode
-    ):
-        train, X, y, detector = drifted_stream
-        # ragged sizes exercise the load-aware assignment
-        sizes = [300, 20, 20, 260, 40, 300, 20, 260, 40, 300]
-        batches, start = [], 0
-        for size in sizes:
-            batches.append(X[start : start + size])
-            start += size
-
-        sequential_sink = ListSink()
-        DetectionService(
-            detector, threshold="auto", sinks=[sequential_sink]
-        ).run(iter(batches))
-        greedy_sink = ListSink()
-        service = ShardedDetectionService(
-            detector,
-            n_workers=2,
-            mode=mode,
-            shard_mode="greedy",
-            threshold="auto",
-            sinks=[greedy_sink],
-        )
-        report = service.run(iter(batches))
-
-        def alert_tuples(events):
-            return [
-                (a.batch_index, a.sample_index, a.score, a.threshold)
-                for a in events
-                if isinstance(a, Alert)
-            ]
-
-        assert alert_tuples(greedy_sink.events) == alert_tuples(
-            sequential_sink.events
-        )
-        assert report.n_samples == sum(sizes)
-        # greedy actually balanced rows across the two workers
-        rows = service._worker_rows
-        assert abs(rows[0] - rows[1]) <= max(sizes)

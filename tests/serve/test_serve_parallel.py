@@ -1,9 +1,11 @@
-"""ShardedDetectionService: sharded-vs-sequential equivalence and merging.
+"""ShardedDetectionService: equal to the sequential service, stage for stage.
 
-The contract under test (see :mod:`repro.serve.parallel`): identical scores
-bit for bit, alerts re-serialized into global stream order (identical to the
-sequential service for fixed/"auto" thresholds), merged counters, drift
-events in global batch order — on both traversal backends.
+The contract under test (see :mod:`repro.serve.parallel`): worker threads
+only score batches ahead, and the parent runs every stateful stage in stream
+order, so every :class:`BatchResult` field but the measured latency, every
+sink event, every ``pipeline.*`` counter and the span tree equal a
+sequential run — ``"rolling"`` thresholds, drift firings, lifecycle swaps
+and shadow trials included, on both traversal backends.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ import numpy as np
 import pytest
 
 from repro.datasets.registry import load_dataset
-from repro.datasets.streaming import FlowStream
+from repro.datasets.streaming import FlowStream, inject_drift
 from repro.ml import native
 from repro.novelty import IsolationForest
+from repro.serve import FullRefit, LifecycleManager, ShadowEvaluator, WindowBuffer
 from repro.serve.drift import DriftMonitor
 from repro.serve.parallel import ShardedDetectionService
 from repro.serve.service import Alert, DetectionService, DriftEvent
 from repro.serve.sinks import ListSink
+from repro.serve.telemetry import SpanBuffer, TraceContext, deterministic_view
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +52,156 @@ def _alert_tuples(events):
         for a in events
         if isinstance(a, Alert)
     ]
+
+
+def _monitor_factory(detector, normal):
+    return lambda: DriftMonitor().set_reference(detector.score_samples(normal), normal)
+
+
+class _OverflowingForest(IsolationForest):
+    """An isolation forest plus a squared-norm term, as distance-based scores
+    carry: rows of finite but extreme features (1e200) score ``nan``."""
+
+    def score_samples(self, X):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return super().score_samples(X) + 0.0 * np.square(X).sum(axis=1)
+
+
+def _overflowing_forest():
+    return _OverflowingForest(n_estimators=25, random_state=0, threshold_quantile=0.9)
+
+
+@pytest.fixture(scope="module")
+def pipeline_stream():
+    """A drifting stream of ragged batches with an empty batch, rows with
+    non-finite features and rows whose score overflows."""
+    rng = np.random.default_rng(7)
+    n, n_features = 4096, 8
+    train = rng.normal(size=(1500, n_features))
+    base = rng.normal(size=(n, n_features))
+    X = base.copy()
+    X[: n // 2] = inject_drift(
+        base[: n // 2], strength=6.0, fraction_of_features=0.5, random_state=3
+    )
+    X[n // 2 :] += X[n // 2 - 1] - base[n // 2 - 1]
+    X[rng.random(n) < 0.03] += 9.0
+    batches, start = [], 0
+    for size in [150, 90, 131, 64, 1] * 40:
+        if start >= n:
+            break
+        batches.append(X[start : start + size].copy())
+        start += size
+    batches.insert(0, np.empty((0, n_features)))
+    batches.insert(9, np.empty((0, n_features)))
+    batches[6][[2, 7]] = np.nan
+    batches[6][11, 3] = np.inf
+    batches[13][[0, 4, 5]] = 1e200
+    batches[-2][[1]] = 1e200
+    batches[-5][:] = np.nan
+    detector = _overflowing_forest().fit(train)
+    return train, batches, detector
+
+
+def _run_pipeline(service_class, pipeline_stream, shadow_rounds, **kwargs):
+    train, batches, detector = pipeline_stream
+    monitor = DriftMonitor(window=512, min_samples=256, cooldown=4)
+    monitor.set_reference(detector.score_samples(train), train)
+    manager = LifecycleManager(
+        FullRefit(_overflowing_forest),
+        buffer=WindowBuffer(1024),
+        min_refit_rows=256,
+        shadow=ShadowEvaluator(rounds=shadow_rounds, min_samples=64)
+        if shadow_rounds
+        else None,
+    )
+    sink, tracer = ListSink(), SpanBuffer()
+    service = service_class(
+        detector,
+        threshold="rolling",
+        rolling_window=1024,
+        rolling_quantile=0.9,
+        min_rolling=64,
+        drift_monitor=monitor,
+        lifecycle=manager,
+        sinks=[sink],
+        tracer=tracer,
+        trace_context=TraceContext.root(0),
+        **kwargs,
+    )
+    results = list(service.process(batches))
+    lifecycle = [
+        {k: v for k, v in event.to_dict().items() if k != "refit_latency_s"}
+        for event in manager.events
+    ]
+    spans = [
+        {k: v for k, v in span.items() if k not in ("seconds", "t_offset_s")}
+        for span in tracer.spans
+    ]
+    return {
+        "results": results,
+        "events": [event.to_dict() for event in sink.events],
+        "lifecycle": lifecycle,
+        "metrics": deterministic_view(service.metrics_snapshot()),
+        "spans": spans,
+        "report": service.report(),
+    }
+
+
+class TestWholePipelineEquivalence:
+    @pytest.fixture(scope="class", params=[0, 3], ids=["refit", "shadow"])
+    def sequential(self, request, pipeline_stream):
+        return request.param, _run_pipeline(
+            DetectionService, pipeline_stream, request.param
+        )
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_sharded_equals_sequential(
+        self, sequential, pipeline_stream, backend, n_workers, monkeypatch
+    ):
+        shadow_rounds, seq = sequential
+        rescored = []
+        inline = DetectionService._score_served
+
+        def spy(service, X):
+            rescored.append(service.n_batches_)
+            return inline(service, X)
+
+        monkeypatch.setattr(DetectionService, "_score_served", spy)
+        shard = _run_pipeline(
+            ShardedDetectionService, pipeline_stream, shadow_rounds, n_workers=n_workers
+        )
+
+        # The scenario exercised every path it is meant to.
+        swaps = [e for e in seq["lifecycle"] if e["swapped"]]
+        assert swaps and seq["results"][-1].model_epoch >= 1
+        assert any(r.drift is not None and r.drift.drifted for r in seq["results"])
+        reasons = {r.quarantine_reason for r in seq["results"]}
+        assert {"non-finite feature values", "score_nonfinite"} <= reasons
+        if shadow_rounds:
+            assert {"shadow_start", "shadow_pass"} <= {e["action"] for e in seq["lifecycle"]}
+        # A swap landed with later batches already scored ahead: only
+        # those were rescored inline, by the new model.
+        assert rescored
+        assert all(seq["results"][b].model_epoch >= 1 for b in rescored)
+
+        assert len(shard["results"]) == len(seq["results"])
+        for ours, theirs in zip(shard["results"], seq["results"]):
+            np.testing.assert_array_equal(ours.scores, theirs.scores)
+            np.testing.assert_array_equal(ours.predictions, theirs.predictions)
+            np.testing.assert_array_equal(ours.threshold, theirs.threshold)
+            assert (ours.index, ours.alerts, ours.drift, ours.model_epoch) == (
+                theirs.index, theirs.alerts, theirs.drift, theirs.model_epoch
+            )
+            assert (ours.quarantined, ours.quarantine_reason) == (
+                theirs.quarantined, theirs.quarantine_reason
+            )
+        assert shard["events"] == seq["events"]
+        assert shard["lifecycle"] == seq["lifecycle"]
+        assert shard["metrics"] == seq["metrics"]
+        assert shard["spans"] == seq["spans"]
+        for field in ("n_batches", "n_samples", "n_alerts", "n_drift_events",
+                      "drift_batches", "n_quarantined"):
+            assert getattr(shard["report"], field) == getattr(seq["report"], field)
 
 
 class TestShardedEquivalence:
@@ -80,14 +234,11 @@ class TestShardedEquivalence:
             assert seq_r.threshold == shard_r.threshold
         assert _alert_tuples(shard_sink.events) == _alert_tuples(seq_sink.events)
 
-        # Merged counters match the sequential aggregate.
         assert shard_report.n_batches == seq_report.n_batches
         assert shard_report.n_samples == seq_report.n_samples
         assert shard_report.n_alerts == seq_report.n_alerts
 
     def test_scores_identical_with_rolling_threshold(self, stream_setup, backend):
-        # Rolling thresholds are per shard (documented divergence), but the
-        # scores themselves must stay bit-identical to sequential scoring.
         dataset, _, detector = stream_setup
         stream = FlowStream(dataset, batch_size=130, random_state=1)
         sharded = ShardedDetectionService(
@@ -97,16 +248,8 @@ class TestShardedEquivalence:
         np.testing.assert_array_equal(merged, detector.score_samples(stream.X))
 
     def test_single_worker_degenerates_to_sequential(self, stream_setup):
-        # One shard sees the whole stream in order, so its rolling window and
-        # drift monitor match the sequential service's batch for batch.
         dataset, normal, detector = stream_setup
-        import functools
-
-        from repro.serve.cli import _make_drift_monitor
-
-        factory = functools.partial(
-            _make_drift_monitor, detector.score_samples(normal), normal
-        )
+        factory = _monitor_factory(detector, normal)
 
         def stream():
             return FlowStream(
@@ -165,13 +308,15 @@ class TestRaggedAndEmptyBatches:
         merged = np.concatenate([r.scores for r in results])
         np.testing.assert_array_equal(merged, detector.score_samples(normal[:120]))
 
-    def test_process_batch_reaches_the_shards_in_global_order(self, stream_setup):
+    def test_process_batch_then_process_keep_global_order(self, stream_setup):
+        # A lone process_batch is scored inline by the inherited method;
+        # process then continues the same global batch and sample indices.
         _, normal, detector = stream_setup
-        sharded = ShardedDetectionService(detector, n_workers=2, threshold="auto")
+        sharded = ShardedDetectionService(detector, n_workers=2, threshold=-np.inf)
         first = sharded.process_batch(normal[:30])
         rest = list(sharded.process([normal[30:50], normal[50:90]]))
         assert [first.index] + [r.index for r in rest] == [0, 1, 2]
-        assert [s.timer.n_calls for s in sharded._shard_services] == [2, 1]
+        assert [a.sample_index for a in rest[-1].alerts] == list(range(50, 90))
         merged = np.concatenate([first.scores] + [r.scores for r in rest])
         np.testing.assert_array_equal(merged, detector.score_samples(normal[:90]))
 
@@ -192,20 +337,13 @@ class TestDriftMerging:
     @pytest.mark.parametrize("mode", ["thread"])
     def test_drift_events_carry_global_batch_order(self, stream_setup, mode):
         dataset, normal, detector = stream_setup
-        import functools
-
-        from repro.serve.cli import _make_drift_monitor
-
-        factory = functools.partial(
-            _make_drift_monitor, detector.score_samples(normal), normal
-        )
         sink = ListSink()
         sharded = ShardedDetectionService(
             detector,
             n_workers=2,
             mode=mode,
             threshold="auto",
-            drift_monitor_factory=factory,
+            drift_monitor_factory=_monitor_factory(detector, normal),
             sinks=[sink],
         )
         stream = FlowStream(dataset, batch_size=150, drift_strength=3.0, random_state=0)
@@ -231,8 +369,12 @@ class TestValidation:
             ShardedDetectionService(detector, mode="auto")
         with pytest.raises(ValueError):
             ShardedDetectionService(detector, rolling_quantile=2.0)
-        with pytest.raises(TypeError, match="factory"):
+        with pytest.raises(TypeError, match="not callable"):
             ShardedDetectionService(detector, drift_monitor_factory=DriftMonitor())
+        with pytest.raises(ValueError, match="not both"):
+            ShardedDetectionService(
+                detector, drift_monitor=DriftMonitor(), drift_monitor_factory=DriftMonitor
+            )
 
     def test_feature_width_validated_at_dispatch(self, stream_setup):
         _, normal, detector = stream_setup
@@ -240,6 +382,23 @@ class TestValidation:
         bad_stream = [normal[:40], np.zeros((4, normal.shape[1] + 1))]
         with pytest.raises(ValueError, match="stream started with"):
             list(sharded.process(bad_stream))
+
+    def test_wrong_width_batch_is_quarantined_in_stream_order(self, stream_setup):
+        _, normal, detector = stream_setup
+        batches = [normal[:40], np.zeros((4, normal.shape[1] + 1)), normal[40:60]]
+        runs = [
+            [
+                (r.index, r.n_samples, r.quarantined)
+                for r in service.process(batches)
+            ]
+            for service in (
+                DetectionService(detector, quarantine_wrong_width=True),
+                ShardedDetectionService(
+                    detector, n_workers=2, quarantine_wrong_width=True
+                ),
+            )
+        ]
+        assert runs[0] == runs[1] == [(0, 40, ()), (1, 0, (0, 1, 2, 3)), (2, 20, ())]
 
 
 @pytest.mark.skipif(

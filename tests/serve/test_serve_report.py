@@ -337,7 +337,6 @@ class TestChaosRunReport:
             n_workers=2,
             mode="thread",
             threshold="auto",
-            batches_per_round=4,
             sinks=[raising, healthy],
         )
         list(sharded.process(injector.corrupt_stream(batches)))

@@ -4,11 +4,9 @@ The contracts under test (see :mod:`repro.serve.telemetry.context` and
 :mod:`repro.serve.telemetry.traceview`):
 
 * span ids come from per-context counters, never ``random`` or the wall
-  clock — the same stream replays to the same ids, and shard forks are
-  disjoint namespaces so concurrent workers cannot collide;
-* sequential and thread runs of one stream produce the same span *tree
-  shape* once the coordinator-only ``round_submit`` / ``round_merge``
-  wrappers are elided;
+  clock — the same stream replays to the same ids;
+* sequential and thread-sharded runs of one stream produce the same spans,
+  ids and parents included (only the serving thread opens spans);
 * :class:`SpanTracer` never leaves a truncated trailing line — interrupted
   writes and ``close()`` truncate back to the last complete record — and
   the reader skips a torn tail instead of dying on it.
@@ -37,10 +35,6 @@ from repro.serve.telemetry import (
 
 pytestmark = pytest.mark.serve
 
-#: Coordinator-only wrapper stages absent from a sequential run's tree.
-ROUND_WRAPPERS = ("round_submit", "round_merge")
-
-
 @pytest.fixture(scope="module")
 def fitted(tiny_dataset):
     normal = tiny_dataset.normal_data()
@@ -66,24 +60,6 @@ class TestTraceContext:
         assert child.trace_id == root.trace_id
         assert child.span_id == span_id
         assert [child.allocate() for _ in range(2)] == ["1.1", "1.2"]
-
-    def test_fork_is_disjoint_and_does_not_consume_parent_ids(self):
-        root = TraceContext.root(0)
-        ctx = root.child(root.allocate())  # namespace under span "1"
-        fork_a = ctx.fork("s0")
-        fork_b = ctx.fork("s1")
-        assert fork_a.allocate() == "1.s0.1"
-        assert fork_b.allocate() == "1.s1.1"
-        # The parent's own counter is untouched by either fork.
-        assert ctx.allocate() == "1.1"
-        # Forks share the parent *span* (their spans attach to "1").
-        assert fork_a.span_id == ctx.span_id == "1"
-
-    def test_refork_replays_identical_ids(self):
-        ctx = TraceContext.root(0).child("2")
-        first = [ctx.fork("s1").allocate() for _ in range(2)]
-        second = [ctx.fork("s1").allocate() for _ in range(2)]
-        assert first == second == ["2.s1.1", "2.s1.1"]
 
     def test_pickle_roundtrip_preserves_the_counter(self):
         ctx = TraceContext.root(3)
@@ -218,19 +194,23 @@ class TestCrossModeTraceTrees:
             ids = [(s["trace_id"], s["span_id"]) for s in spans]
             assert len(ids) == len(set(ids)), mode
 
-    def test_sequential_tree_matches_after_round_elision(self, mode_spans):
+    def test_sharded_tree_matches_sequential(self, mode_spans):
         sequential = tree_shape(mode_spans["sequential"])
         for mode in ("thread",):
-            assert sequential == tree_shape(
-                mode_spans[mode], elide=ROUND_WRAPPERS
-            ), mode
+            assert sequential == tree_shape(mode_spans[mode]), mode
+            # ids and parents too, not only the shape
+            assert [
+                (s["stage"], s["span_id"], s.get("parent_span_id"))
+                for s in mode_spans["sequential"]
+            ] == [
+                (s["stage"], s["span_id"], s.get("parent_span_id"))
+                for s in mode_spans[mode]
+            ], mode
 
     def test_stage_multisets_agree_across_modes(self, mode_spans):
         sequential = stage_multiset(mode_spans["sequential"])
         for mode in ("thread",):
-            assert sequential == stage_multiset(
-                mode_spans[mode], elide=ROUND_WRAPPERS
-            ), mode
+            assert sequential == stage_multiset(mode_spans[mode]), mode
         # Every batch opened exactly one wrapper span with children under it.
         assert sequential["batch"] > 0
         assert sequential["score"] == sequential["batch"]
