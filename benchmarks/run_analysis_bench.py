@@ -6,14 +6,10 @@ This benchmark pins it under the ``"analysis"`` key of
 ``BENCH_inference.json`` and ``check_bench_trend.py`` fails the build when
 any entry regresses:
 
-* ``lint_full[cold]`` — the full two-pass lint (parse, symbol table, call
-  graph, all twelve rules) over the real ``src/repro`` tree, in files per
-  second;
+* ``lint_full[cold]`` — the full single-pass lint (parse, then all ten
+  rules) over the real ``src/repro`` tree, in files per second;
 * ``parse[tree]`` — bare ``ast`` parsing of every module, in files per
-  second (the floor any lint run pays before rules see a node);
-* ``project_graph[build]`` — pass-1 :func:`~repro.analysis.build_project`
-  (symbol table + import graph + call graph) over the parsed tree, in
-  modules per second (paid on every lint run).
+  second (the floor any lint run pays before rules see a node).
 
 Usage::
 
@@ -27,7 +23,7 @@ import argparse
 from pathlib import Path
 
 from repro._version import __version__
-from repro.analysis import LintContext, build_project, parse_module, run_lint
+from repro.analysis import parse_module, run_lint
 from run_lifecycle_bench import DEFAULT_OUTPUT, _best_time, write_report
 
 __all__ = ["run_bench", "write_report", "DEFAULT_OUTPUT", "main"]
@@ -45,10 +41,8 @@ def run_bench(
     tree = Path(tree)
     paths = [tree]
 
-    # One probe run supplies the file count and a parsed module set for the
-    # graph-build arm.
-    probe = run_lint(paths)
-    n_files = probe.context.n_files
+    # One probe run supplies the file count.
+    n_files = run_lint(paths).context.n_files
 
     results: dict[str, object] = {}
 
@@ -72,16 +66,6 @@ def run_bench(
     results["parse[tree]"] = {
         "samples_per_sec": len(sources) / parse_s,
         "wall_s": parse_s,
-    }
-
-    modules = list(probe.context.modules)
-    graph_s = _best_time(
-        lambda: build_project(LintContext(modules=modules)), n_repeats
-    )
-    results["project_graph[build]"] = {
-        "samples_per_sec": len(modules) / graph_s,
-        "build_latency_s": graph_s,
-        "n_modules": len(modules),
     }
 
     return {

@@ -166,8 +166,8 @@ def run_shadow_bench(
     single_s = _best_time(lambda: service._score_micro_batched(X), n_repeats)
 
     def _shadow_round() -> None:
-        live_scores = service._score_micro_batched(X)
-        candidate_scores = service._score_micro_batched(X, candidate)
+        live_scores, _ = service._score_micro_batched(X)
+        candidate_scores, _ = service._score_micro_batched(X, candidate)
         trial.observe(live_scores, threshold, candidate_scores)
 
     double_s = _best_time(_shadow_round, n_repeats)

@@ -4,15 +4,13 @@ The serving layer's correctness rests on conventions — bit-identical
 sequential/thread runs, pickle-free seeded snapshots, every
 degradation an auditable sink event, every pipeline stage traced — that no
 type checker sees.  This package encodes each convention as a small
-stdlib-``ast`` rule (``RL001``–``RL012``, see :mod:`repro.analysis.rules`),
-runs them through one shared parse (:func:`run_lint`), grandfathers
-deliberate exceptions through a committed baseline
-(:mod:`repro.analysis.baseline`), and reports in three formats — compiler
-text, ``read_events``-compatible JSONL, and sectioned MET/NOT_MET verdicts
-(:mod:`repro.analysis.report`).  The engine is two-pass: pass 1 builds a
-whole-tree symbol table and call graph (:mod:`repro.analysis.project`) that
-the cross-module rules consume.  Each run parses and checks every file it
-is given; nothing is cached between runs.  ``repro lint`` is the CLI; the
+stdlib-``ast`` rule (ten rules, ``RL001``–``RL011`` without ``RL007``; see
+:mod:`repro.analysis.rules`), runs them in a single pass over one shared
+parse (:func:`run_lint`), grandfathers deliberate exceptions through a
+committed baseline (:mod:`repro.analysis.baseline`), and reports in three
+formats — compiler text, ``read_events``-compatible JSONL, and sectioned
+MET/NOT_MET verdicts (:mod:`repro.analysis.report`).  Each run parses and
+checks every file it is given; nothing is cached between runs.  ``repro lint`` is the CLI; the
 tier-1 test ``tests/analysis/test_lint_src_clean.py`` is the gate that
 keeps ``src/`` clean forever.
 """
@@ -29,7 +27,6 @@ from repro.analysis.engine import (
     run_lint,
 )
 from repro.analysis.findings import Finding
-from repro.analysis.project import ProjectGraph, build_project, function_key
 from repro.analysis.report import (
     build_lint_report,
     load_lint_events,
@@ -47,13 +44,10 @@ __all__ = [
     "LintContext",
     "LintResult",
     "ParsedModule",
-    "ProjectGraph",
     "RULE_CLASSES",
     "Rule",
     "build_lint_report",
-    "build_project",
     "default_rules",
-    "function_key",
     "lint_parsed",
     "load_lint_events",
     "parse_module",

@@ -126,22 +126,10 @@ class LintContext:
     docs: list[tuple[str, str]] = field(default_factory=list)
     #: Files that failed to parse: (display_path, error message).
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
-    #: The active Baseline (if any) — cross-module rules consult it to avoid
-    #: cascading findings off grandfathered seeds (see RL012).
-    baseline: object | None = None
-    #: Whole-tree symbol table / call graph (repro.analysis.project),
-    #: built once per lint run before rules execute.
-    project: object | None = None
 
     @property
     def n_files(self) -> int:
         return len(self.modules)
-
-    def module_by_suffix(self, suffix: str) -> ParsedModule | None:
-        for module in self.modules:
-            if module.display_path.endswith(suffix):
-                return module
-        return None
 
     def module_by_dotted(self, dotted: str) -> ParsedModule | None:
         for module in self.modules:
@@ -244,13 +232,6 @@ def lint_parsed(
         from repro.analysis.rules import default_rules
 
         rules = default_rules()
-
-    if context.baseline is None:
-        context.baseline = baseline
-    if context.project is None:
-        from repro.analysis.project import build_project
-
-        context.project = build_project(context)
 
     def _suppressed(finding: Finding) -> bool:
         module = next(

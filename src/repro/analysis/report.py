@@ -10,22 +10,21 @@ Three renderings of one :class:`~repro.analysis.engine.LintResult`:
   :func:`repro.serve.sinks.read_events` and downstream tooling can treat
   lint findings as just another event log;
 - :func:`build_lint_report` / :func:`render_lint_markdown` — a sectioned
-  MET/NOT_MET report, one section per rule, with the same check/verdict
-  grammar as :mod:`repro.serve.telemetry.report` (``error`` findings are
-  *major* check failures, ``warning`` findings *minor*, and verdicts roll
-  up identically: NOT_MET on any major failure, PARTIALLY_MET on
-  minor-only, MET otherwise).
+  MET/NOT_MET report, one section per rule, built and rendered with the
+  :mod:`repro.verdicts` grammar that serving run reports use (``error``
+  findings are *major* check failures, ``warning`` findings *minor*).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.analysis.engine import LintResult
 from repro.analysis.findings import Finding
 from repro.analysis.rules import RULE_CLASSES
+from repro.verdicts import check_line_md, make_check, rollup_verdict, section_heading_md
 
 __all__ = [
     "build_lint_report",
@@ -115,36 +114,8 @@ def load_lint_events(path: str | Path) -> tuple[list[Finding], dict]:
 
 
 # ---------------------------------------------------------------------------
-# MET/NOT_MET report (same check grammar as repro.serve.telemetry.report)
+# MET/NOT_MET report (the repro.verdicts grammar)
 # ---------------------------------------------------------------------------
-
-
-def _check(
-    check_id: str,
-    title: str,
-    met: bool,
-    *,
-    severity: str = "major",
-    evidence: Mapping[str, Any] | None = None,
-) -> dict:
-    # Same shape and verdict grammar as repro.serve.telemetry.report._check,
-    # so lint reports and serving run reports read identically.
-    return {
-        "id": check_id,
-        "title": title,
-        "verdict": "MET" if met else "NOT_MET",
-        "severity": severity,
-        "evidence": dict(evidence or {}),
-    }
-
-
-def _section_verdict(checks: Sequence[Mapping[str, Any]]) -> str:
-    failed = [c for c in checks if c["verdict"] != "MET"]
-    if any(c["severity"] == "major" for c in failed):
-        return "NOT_MET"
-    if failed:
-        return "PARTIALLY_MET"
-    return "MET"
 
 
 def build_lint_report(
@@ -178,7 +149,7 @@ def build_lint_report(
             if len(new) > _MAX_EVIDENCE_FINDINGS:
                 evidence["truncated"] = len(new) - _MAX_EVIDENCE_FINDINGS
         checks = [
-            _check(
+            make_check(
                 rule_id,
                 rule_cls.title,
                 not new,
@@ -190,7 +161,7 @@ def build_lint_report(
             {
                 "index": index,
                 "title": f"{rule_id} — {rule_cls.title}",
-                "verdict": _section_verdict(checks),
+                "verdict": rollup_verdict(checks),
                 "checks": checks,
                 "data": {},
             }
@@ -199,7 +170,7 @@ def build_lint_report(
     report = {
         "format_version": FORMAT_VERSION,
         "title": title,
-        "overall": _section_verdict(all_checks),
+        "overall": rollup_verdict(all_checks),
         "summary": _summary_counts(result),
         "sections": sections,
     }
@@ -226,16 +197,10 @@ def render_lint_markdown(report: Mapping[str, Any]) -> str:
     lines.append("## Rules")
     for section in report.get("sections", []):
         lines.append("")
-        lines.append(
-            f"### {section.get('index', '?')}. {section.get('title', '?')}"
-            f" — **{section.get('verdict', 'NOT_MET')}**"
-        )
+        lines.append(section_heading_md(section))
         lines.append("")
         for check in section.get("checks", []):
-            lines.append(
-                f"- `{check['id']}` **{check['verdict']}**"
-                f" ({check['severity']}) — {check['title']}"
-            )
+            lines.append(check_line_md(check))
             evidence = check.get("evidence", {})
             for item in evidence.get("findings", []):
                 lines.append(f"  - {item}")

@@ -15,25 +15,21 @@ from repro.analysis.rules.rl003_pickle import PickleBanRule
 from repro.analysis.rules.rl004_events import SinkEventSchemaRule
 from repro.analysis.rules.rl005_exceptions import ExceptionHygieneRule
 from repro.analysis.rules.rl006_trace import TraceCoverageRule
-from repro.analysis.rules.rl007_shared_state import SharedStateRule
 from repro.analysis.rules.rl008_api import ApiSurfaceRule
 from repro.analysis.rules.rl009_resources import ResourceLifecycleRule
 from repro.analysis.rules.rl010_schema import EventSchemaConsistencyRule
 from repro.analysis.rules.rl011_clidocs import CliDocsSyncRule
-from repro.analysis.rules.rl012_taint import DeterminismTaintRule
 
 __all__ = [
     "ApiSurfaceRule",
     "CliDocsSyncRule",
     "DeterminismRule",
-    "DeterminismTaintRule",
     "EventSchemaConsistencyRule",
     "ExceptionHygieneRule",
     "PickleBanRule",
     "ResourceLifecycleRule",
     "Rule",
     "RULE_CLASSES",
-    "SharedStateRule",
     "SinkEventSchemaRule",
     "SnapshotCompletenessRule",
     "TraceCoverageRule",
@@ -48,12 +44,10 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     SinkEventSchemaRule,
     ExceptionHygieneRule,
     TraceCoverageRule,
-    SharedStateRule,
     ApiSurfaceRule,
     ResourceLifecycleRule,
     EventSchemaConsistencyRule,
     CliDocsSyncRule,
-    DeterminismTaintRule,
 )
 
 

@@ -16,9 +16,8 @@ Writing a new rule
 2. Subclass :class:`Rule`; set ``rule_id`` (``"RLNNN"``), ``title``,
    ``severity`` (``"error"`` or ``"warning"``) and ``false_negatives``.
 3. Implement ``check_module`` for per-file checks, or ``finalize`` for
-   whole-tree contracts.  ``finalize`` rules may consult
-   ``context.project`` — the resolved symbol table / call graph built by
-   :mod:`repro.analysis.project` — and ``context.docs`` for README
+   whole-tree contracts.  ``finalize`` rules see every parsed module in
+   ``context.modules`` and may consult ``context.docs`` for README
    cross-checks.  A finalize rule that keys on specific home modules must
    degrade gracefully when only a subtree is scanned (see RL006/RL010:
    skip the check when the producing side is absent, so ``repro lint

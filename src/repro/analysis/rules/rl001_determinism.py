@@ -45,7 +45,7 @@ from repro.analysis.rules.base import (
     in_repro_package,
 )
 
-__all__ = ["DeterminismRule", "determinism_allowlisted", "iter_determinism_sites"]
+__all__ = ["DeterminismRule"]
 
 #: numpy.random module-level functions that hit the shared global state.
 _NP_GLOBAL_FNS = frozenset(
@@ -111,18 +111,13 @@ def _collect_aliases(tree: ast.Module) -> dict[str, str]:
 
 
 class _Visitor(ScopedVisitor):
-    """Collects every nondeterministic-primitive call site in one module.
+    """Collects ``(call_node, qualname, message)`` for every
+    nondeterministic-primitive call site in one module."""
 
-    Sites are ``(node, qualname, canonical_name, message)`` tuples; RL001
-    turns them into findings directly, while RL012 uses them as taint seeds
-    for call-graph propagation.
-    """
-
-    def __init__(self, module: ParsedModule) -> None:
+    def __init__(self, tree: ast.Module) -> None:
         super().__init__()
-        self.module = module
-        self.aliases = _collect_aliases(module.tree)
-        self.sites: list[tuple[ast.Call, str, str, str]] = []
+        self.aliases = _collect_aliases(tree)
+        self.sites: list[tuple[ast.Call, str, str]] = []
 
     def _canonical(self, node: ast.expr) -> str | None:
         dotted = dotted_name(node)
@@ -165,27 +160,7 @@ class _Visitor(ScopedVisitor):
                 "must be replayable (monotonic timers are fine for timing)"
             )
         if message is not None:
-            self.sites.append((node, self.qualname, name, message))
-
-
-def iter_determinism_sites(
-    module: ParsedModule,
-) -> list[tuple[ast.Call, str, str, str]]:
-    """Every RL001-primitive call site in ``module``.
-
-    Returns ``(call_node, enclosing_qualname, canonical_name, message)``
-    tuples regardless of allowlisting — callers apply their own scoping.
-    """
-    visitor = _Visitor(module)
-    visitor.visit(module.tree)
-    return visitor.sites
-
-
-def determinism_allowlisted(module: ParsedModule) -> bool:
-    """True for modules where wall-clock/RNG primitives are sanctioned."""
-    return has_consecutive_parts(module, "serve", "telemetry") or (
-        module.display_path.endswith("utils/timing.py")
-    )
+            self.sites.append((node, self.qualname, message))
 
 
 class DeterminismRule(Rule):
@@ -201,9 +176,15 @@ class DeterminismRule(Rule):
     def check_module(
         self, module: ParsedModule, context: LintContext
     ) -> Iterable[Finding]:
-        if not in_repro_package(module) or determinism_allowlisted(module):
+        if (
+            not in_repro_package(module)
+            or has_consecutive_parts(module, "serve", "telemetry")
+            or module.display_path.endswith("utils/timing.py")
+        ):
             return ()
+        visitor = _Visitor(module.tree)
+        visitor.visit(module.tree)
         return [
             self.finding(module, node, message, context=qualname)
-            for node, qualname, _name, message in iter_determinism_sites(module)
+            for node, qualname, message in visitor.sites
         ]

@@ -498,8 +498,8 @@ def _run_serve_report(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    # Validate the shadow flags before any dataset/fit work: a flag typo must
-    # not cost a training run (nor surface as a raw ValueError traceback).
+    # Validate the flags before any dataset/fit work: a flag typo must not
+    # cost a training run (nor surface as a raw ValueError traceback).
     if args.shadow_rounds:
         if args.shadow_rounds < 0:
             raise SystemExit("--shadow-rounds must be non-negative")
@@ -520,6 +520,22 @@ def _run_serve(args: argparse.Namespace) -> int:
             "(shadow evaluation is disabled; candidates would swap right "
             "after the quality gate)"
         )
+    if args.workers < 1:
+        raise SystemExit("--workers must be at least 1")
+    if args.batch_size < 1:
+        raise SystemExit("--batch-size must be at least 1")
+    if args.micro_batch_size < 1:
+        raise SystemExit("--micro-batch-size must be at least 1")
+    if args.refit != "off" and args.refit_window < 1:
+        raise SystemExit("--refit-window must be at least 1")
+    if not 0.0 < args.rolling_quantile < 1.0:
+        raise SystemExit("--rolling-quantile must be strictly between 0 and 1")
+    try:
+        threshold: float | str = float(args.threshold)
+    except ValueError:
+        if args.threshold not in ("auto", "rolling"):
+            raise SystemExit("--threshold must be 'auto', 'rolling' or a float")
+        threshold = args.threshold
     if args.log_level is not None:
         try:
             configure_logging(args.log_level)
@@ -593,13 +609,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                     )
                 serving_version = None
 
-    try:
-        threshold: float | str = float(args.threshold)
-    except ValueError:
-        threshold = args.threshold
-
-    if args.workers < 1:
-        raise SystemExit("--workers must be at least 1")
     sinks = [JsonlSink(args.alerts)] if args.alerts is not None else []
     if injector is not None:
         sinks = injector.wrap_sinks(sinks)

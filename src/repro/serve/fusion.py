@@ -146,12 +146,28 @@ class FusionDetector(NoveltyDetector):
         :attr:`member_failed_`; only when *every* member raises does the
         call fail, carrying the last member error as the cause.
         """
+        return self.score_samples_with_diagnostics(X)[0]
+
+    def score_samples_with_diagnostics(
+        self, X: np.ndarray
+    ) -> tuple[np.ndarray, dict]:
+        """:meth:`score_samples` plus the diagnostics of this call.
+
+        Returns ``(scores, diagnostics)``, where ``diagnostics`` holds
+        ``member_failed``, ``member_weights`` and ``conflict_mass`` (the
+        last two only when ``X`` has rows) — the values the call also
+        records on :attr:`member_failed_`, :attr:`member_weights_` and
+        :attr:`conflict_mass_`.  Those attributes hold whichever call
+        finished last; when threads score on one shared detector, only the
+        returned dict is sure to describe these rows.  The serving telemetry
+        publishes it as the ``fusion.*`` gauges.
+        """
         check_fitted(self, "loc_")
         X = check_array(X, name="X", allow_empty=True)
         check_n_features(X, self.n_features_, fitted_with="fusion was calibrated")
         self.member_failed_ = ()
         if X.shape[0] == 0:
-            return np.empty(0)
+            return np.empty(0), {"member_failed": ()}
         columns: list[np.ndarray] = []
         survivors: list[int] = []
         failures: list[dict] = []
@@ -172,7 +188,8 @@ class FusionDetector(NoveltyDetector):
                 last_error = exc
                 continue
             survivors.append(index)
-        self.member_failed_ = tuple(failures)
+        member_failed = tuple(failures)
+        self.member_failed_ = member_failed
         if not survivors:
             raise RuntimeError(
                 f"all {len(self.detectors)} fusion members failed to score"
@@ -180,19 +197,24 @@ class FusionDetector(NoveltyDetector):
         raw = np.column_stack(columns)
         keep = np.asarray(survivors, dtype=np.intp)
         standardized = (raw - self.loc_[keep]) / self.scale_[keep]
-        self._record_diagnostics(standardized, keep)
-        return self._fuse(standardized)
+        member_weights, conflict_mass = self._diagnostics(standardized, keep)
+        self.member_weights_ = member_weights
+        self.conflict_mass_ = conflict_mass
+        diagnostics = {
+            "member_failed": member_failed,
+            "member_weights": member_weights,
+            "conflict_mass": conflict_mass,
+        }
+        return self._fuse(standardized), diagnostics
 
-    def _record_diagnostics(
+    def _diagnostics(
         self, standardized: np.ndarray, survivors: np.ndarray
-    ) -> None:
-        """Record :attr:`member_weights_` / :attr:`conflict_mass_` for the
-        batch just scored (surfaced as gauges by the serving telemetry —
-        previously these were computed inside :meth:`_fuse` and dropped)."""
+    ) -> tuple[tuple[float, ...], float]:
+        """Per-member weights and the conflict mass of the batch just scored."""
         n_samples, n_survivors = standardized.shape
         consensus = standardized.mean(axis=1, keepdims=True)
         conflict = np.abs(standardized - consensus)
-        self.conflict_mass_ = float(conflict.mean()) if standardized.size else 0.0
+        conflict_mass = float(conflict.mean()) if standardized.size else 0.0
         if self.combine == "pcr":
             weights = 1.0 / (1.0 + conflict)
             weights /= weights.sum(axis=1, keepdims=True)
@@ -206,7 +228,7 @@ class FusionDetector(NoveltyDetector):
             survivor_weights = np.full(n_survivors, 1.0 / n_survivors)
         full = np.full(len(self.detectors), np.nan)
         full[survivors] = survivor_weights
-        self.member_weights_ = tuple(float(w) for w in full)
+        return tuple(float(w) for w in full), conflict_mass
 
     def member_scores(self, X: np.ndarray) -> np.ndarray:
         """``(n_samples, n_detectors)`` standardized per-member scores.

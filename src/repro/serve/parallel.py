@@ -14,12 +14,14 @@ the scores computed ahead.
 Contract
 --------
 * Every :class:`~repro.serve.service.BatchResult` field but the measured
-  latency, every sink event, every ``pipeline.*`` counter and the span tree
-  equal a sequential run over the same stream: ``"rolling"`` thresholds,
+  latency, every sink event, every ``pipeline.*`` counter, every
+  ``fusion.*`` gauge after each batch and the span tree equal a sequential
+  run over the same stream: ``"rolling"`` thresholds,
   drift firings, model epochs and shadow verdicts included.
-* Workers hold no state.  They read a batch and a model and return scores;
-  the rolling window, the drift monitor, the metrics registry, the tracer
-  and the lifecycle belong to the parent alone.
+* Workers hold no state.  They read a batch and a model and return scores
+  with the model's diagnostics for them (the ``fusion.*`` gauges); the
+  rolling window, the drift monitor, the metrics registry, the tracer and
+  the lifecycle belong to the parent alone.
 * A swap (lifecycle refit, shadow verdict, ``on_drift`` reload) takes effect
   on the next batch, as in the sequential service: a batch scored ahead by a
   model that no longer serves is rescored inline by the parent.  Shadow
@@ -122,11 +124,11 @@ class ShardedDetectionService(DetectionService):
             return X, None, self.detector
         return X, pool.submit(self._score_ahead, X, self.detector), self.detector
 
-    def _score_ahead(self, X: Any, detector: Any) -> np.ndarray:
+    def _score_ahead(self, X: Any, detector: Any) -> tuple[np.ndarray, dict | None]:
         """Worker body: a pure function of the batch and the model."""
         X, _ = _finite_rows(np.ascontiguousarray(np.asarray(X, dtype=np.float64)))
         if not X.shape[0]:
-            return np.empty(0)
+            return np.empty(0), None
         return self._score_micro_batched(X, detector)
 
     def _serve(self, X: Any, future: Future | None, detector: Any) -> BatchResult:
@@ -136,7 +138,7 @@ class ShardedDetectionService(DetectionService):
         finally:
             self._ahead = (None, None)
 
-    def _score_served(self, X: np.ndarray) -> np.ndarray:
+    def _score_served(self, X: np.ndarray) -> tuple[np.ndarray, dict | None]:
         future, detector = self._ahead
         if future is None or detector is not self.detector:
             return super()._score_served(X)  # swapped since submission: rescore

@@ -123,6 +123,15 @@ class BatchResult:
         return len(self.alerts)
 
 
+def _score_with_diagnostics(detector: Any, X: np.ndarray) -> tuple[Any, dict | None]:
+    """One scoring call's ``(scores, diagnostics)``; ``None`` diagnostics for
+    a detector without ``score_samples_with_diagnostics``."""
+    score = getattr(detector, "score_samples_with_diagnostics", None)
+    if score is None:
+        return detector.score_samples(X), None
+    return score(X)
+
+
 def _finite_rows(X: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """``X`` without its rows holding a non-finite value, and their indices."""
     finite = np.isfinite(X).all(axis=1)
@@ -130,23 +139,6 @@ def _finite_rows(X: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         return X, ()
     dropped = tuple(int(i) for i in np.flatnonzero(~finite))
     return np.ascontiguousarray(X[finite]), dropped
-
-
-@dataclass(frozen=True)
-class _ScoredBatch:
-    """A batch after the score stage, waiting for the per-batch tail."""
-
-    index: int
-    X: np.ndarray  # the rows that were scored (quarantined rows removed)
-    scores: np.ndarray
-    predictions: np.ndarray
-    threshold: float
-    drift: DriftReport | None
-    latency_s: float
-    model_epoch: int
-    quarantined: tuple[int, ...]
-    quarantine_reason: str | None
-    shadow_scores: np.ndarray | None
 
 
 @dataclass
@@ -431,13 +423,14 @@ class DetectionService:
             )
         return X
 
-    def _score_served(self, X: np.ndarray) -> np.ndarray:
-        """The served model's scores for the rows of ``X`` (the score stage)."""
+    def _score_served(self, X: np.ndarray) -> tuple[np.ndarray, dict | None]:
+        """The served model's scores for the rows of ``X`` (the score stage),
+        with their diagnostics (see :meth:`_score_micro_batched`)."""
         return self._score_micro_batched(X)
 
     def _score_micro_batched(
         self, X: np.ndarray, detector: Any | None = None
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, dict | None]:
         """Score ``X`` in chunks of at most ``micro_batch_size`` rows.
 
         Row-wise detector scoring makes the concatenation identical to a
@@ -445,16 +438,26 @@ class DetectionService:
         served model is used unless ``detector`` overrides it — the shadow
         evaluation path double-scores each batch with the candidate through
         this same scorer, so both models see identical chunking.
+
+        Returns ``(scores, diagnostics)``.  A detector with a
+        ``score_samples_with_diagnostics`` method (such as
+        :class:`~repro.serve.fusion.FusionDetector`) hands back the last
+        chunk's diagnostics with its scores, so they describe this call even
+        when threads score on the same detector; any other detector gives
+        ``None``.
         """
         detector = self.detector if detector is None else detector
         n = X.shape[0]
         if n <= self.micro_batch_size:
-            return np.asarray(detector.score_samples(X), dtype=np.float64)
+            scores, diagnostics = _score_with_diagnostics(detector, X)
+            return np.asarray(scores, dtype=np.float64), diagnostics
         scores = np.empty(n)
         for start in range(0, n, self.micro_batch_size):
             stop = min(start + self.micro_batch_size, n)
-            scores[start:stop] = detector.score_samples(X[start:stop])
-        return scores
+            scores[start:stop], diagnostics = _score_with_diagnostics(
+                detector, X[start:stop]
+            )
+        return scores, diagnostics
 
     def _current_threshold(self, batch_scores: np.ndarray | None = None) -> float:
         """Threshold for the incoming batch, from *pre-batch* state only.
@@ -532,229 +535,195 @@ class DetectionService:
         so the surviving alerts are identical to a run on the stream with
         those rows deleted.
 
-        The batch runs in two stages under one ``batch`` span: the score
-        stage (:meth:`_score_stage`) and the per-batch tail
-        (:meth:`_finish_batch`).  With a trace context the stage spans nest
-        under the batch span, so every batch forms one subtree of the trace.
+        The whole batch runs under one ``batch`` span.  With a trace context
+        the stage spans nest under it, so every batch forms one subtree of
+        the trace.
         """
-        with self._batch_span(self.n_batches_) as batch_span:
+        batch_index = self.n_batches_
+        offset = self.n_samples_
+        with self._batch_span(batch_index) as batch_span:
+            ctx = batch_span.ctx
             # Resolved before scoring: a trial that *starts* during this
             # batch's drift reaction begins shadow-scoring on the next batch.
             shadow_detector = getattr(self.lifecycle, "shadow_candidate", None)
-            scored = self._score_stage(X, batch_span, shadow_detector)
-            return self._finish_batch(scored)
-
-    def _score_stage(
-        self, X: np.ndarray, batch_span: trace_span, shadow_detector: Any
-    ) -> _ScoredBatch:
-        """Quarantine scan, score, threshold, shadow score, drift check.
-
-        Emits nothing: announcements, alerts and reactions are left to
-        :meth:`_finish_batch`.
-        """
-        ctx = batch_span.ctx
-        batch_index = batch_span.batch_index
-        quarantined: tuple[int, ...] = ()
-        quarantine_reason: str | None = None
-        if self.quarantine_wrong_width:
-            raw = np.asarray(X)
-            if (
-                raw.ndim == 2
-                and self.n_features_ is not None
-                and raw.shape[1] != self.n_features_
-            ):
-                # The whole batch is diverted; what is left is a zero-row
-                # batch: counted, nothing scored, threshold ``nan``.
-                quarantined = tuple(range(raw.shape[0]))
-                quarantine_reason = (
-                    f"batch has {raw.shape[1]} features, "
-                    f"stream started with {self.n_features_}"
-                )
-                X = np.empty((0, self.n_features_))
-        X = self._validate_once(X)
-        if X.shape[0]:
-            with trace_span(
-                "quarantine_scan",
-                metrics=self.telemetry,
-                tracer=self.tracer,
-                rows=int(X.shape[0]),
-                batch_index=batch_index,
-                context=ctx,
-            ):
-                X, quarantined = _finite_rows(X)
-                if quarantined:
-                    quarantine_reason = "non-finite feature values"
-        model_epoch = self.epoch_  # a swap in the tail must not retag
-        shadow_scores: np.ndarray | None = None
-        scores = np.empty(0, dtype=np.float64)
-        threshold = float("nan")
-        predictions = np.empty(0, dtype=np.int64)
-        accumulated = self.timer.total
-        n_rows = int(X.shape[0])
-        batch_span.rows = n_rows
-        with self.timer:
-            if n_rows:
+            quarantined: tuple[int, ...] = ()
+            quarantine_reason: str | None = None
+            if self.quarantine_wrong_width:
+                raw = np.asarray(X)
+                if (
+                    raw.ndim == 2
+                    and self.n_features_ is not None
+                    and raw.shape[1] != self.n_features_
+                ):
+                    # The whole batch is diverted; what is left is a zero-row
+                    # batch: counted, nothing scored, threshold ``nan``.
+                    quarantined = tuple(range(raw.shape[0]))
+                    quarantine_reason = (
+                        f"batch has {raw.shape[1]} features, "
+                        f"stream started with {self.n_features_}"
+                    )
+                    X = np.empty((0, self.n_features_))
+            X = self._validate_once(X)
+            if X.shape[0]:
                 with trace_span(
-                    "score",
+                    "quarantine_scan",
                     metrics=self.telemetry,
                     tracer=self.tracer,
-                    rows=n_rows,
+                    rows=int(X.shape[0]),
                     batch_index=batch_index,
                     context=ctx,
                 ):
-                    scores = self._score_served(X)
-                finite = np.isfinite(scores)
-                if not finite.all():
-                    # An inf/nan score would alert and poison the rolling
-                    # window and the drift statistics: quarantine its row.
-                    incoming = np.arange(n_rows + len(quarantined))
-                    scored_rows = np.delete(incoming, list(quarantined))
-                    quarantined = tuple(
-                        sorted((*quarantined, *map(int, scored_rows[~finite])))
-                    )
-                    quarantine_reason = "; ".join(
-                        filter(None, (quarantine_reason, "score_nonfinite"))
-                    )
-                    X, scores = np.ascontiguousarray(X[finite]), scores[finite]
-            if scores.size:
-                # Threshold comes from the window *before* this batch (else a
-                # burst of anomalies would inflate its own threshold and evade
-                # alerting); only then does the batch enter the window.
-                with trace_span(
-                    "threshold_update",
-                    metrics=self.telemetry,
-                    tracer=self.tracer,
-                    batch_index=batch_index,
-                    context=ctx,
-                ):
-                    threshold = self._current_threshold(scores)
-                    self._rolling.extend(scores[:, None])
-                predictions = (scores > threshold).astype(np.int64)
-                if shadow_detector is not None:
-                    # Double-scoring is the whole cost of a shadow round; it
-                    # counts toward the batch latency like any scoring work.
+                    X, quarantined = _finite_rows(X)
+                    if quarantined:
+                        quarantine_reason = "non-finite feature values"
+            model_epoch = self.epoch_  # a swap in the tail must not retag
+            shadow_scores: np.ndarray | None = None
+            scores = np.empty(0, dtype=np.float64)
+            diagnostics: dict | None = None
+            threshold = float("nan")
+            predictions = np.empty(0, dtype=np.int64)
+            accumulated = self.timer.total
+            n_rows = int(X.shape[0])
+            batch_span.rows = n_rows
+            with self.timer:
+                if n_rows:
                     with trace_span(
-                        "shadow_score",
+                        "score",
+                        metrics=self.telemetry,
+                        tracer=self.tracer,
+                        rows=n_rows,
+                        batch_index=batch_index,
+                        context=ctx,
+                    ):
+                        scores, diagnostics = self._score_served(X)
+                    finite = np.isfinite(scores)
+                    if not finite.all():
+                        # An inf/nan score would alert and poison the rolling
+                        # window and the drift statistics: quarantine its row.
+                        incoming = np.arange(n_rows + len(quarantined))
+                        scored_rows = np.delete(incoming, list(quarantined))
+                        quarantined = tuple(
+                            sorted((*quarantined, *map(int, scored_rows[~finite])))
+                        )
+                        quarantine_reason = "; ".join(
+                            filter(None, (quarantine_reason, "score_nonfinite"))
+                        )
+                        X, scores = np.ascontiguousarray(X[finite]), scores[finite]
+                if scores.size:
+                    # Threshold comes from the window *before* this batch (else
+                    # a burst of anomalies would inflate its own threshold and
+                    # evade alerting); only then does the batch enter the window.
+                    with trace_span(
+                        "threshold_update",
+                        metrics=self.telemetry,
+                        tracer=self.tracer,
+                        batch_index=batch_index,
+                        context=ctx,
+                    ):
+                        threshold = self._current_threshold(scores)
+                        self._rolling.extend(scores[:, None])
+                    predictions = (scores > threshold).astype(np.int64)
+                    if shadow_detector is not None:
+                        # Double-scoring is the whole cost of a shadow round;
+                        # it counts toward the batch latency like any scoring.
+                        with trace_span(
+                            "shadow_score",
+                            metrics=self.telemetry,
+                            tracer=self.tracer,
+                            rows=int(scores.size),
+                            batch_index=batch_index,
+                            context=ctx,
+                        ):
+                            shadow_scores, _ = self._score_micro_batched(
+                                X, shadow_detector
+                            )
+            latency = self.timer.total - accumulated
+            drift_report: DriftReport | None = None
+            if scores.size:
+                if diagnostics is not None:
+                    self._record_fusion_diagnostics(diagnostics)
+                if self.drift_monitor is not None:
+                    with trace_span(
+                        "drift_check",
                         metrics=self.telemetry,
                         tracer=self.tracer,
                         rows=int(scores.size),
                         batch_index=batch_index,
                         context=ctx,
                     ):
-                        shadow_scores = self._score_micro_batched(
-                            X, shadow_detector
-                        )
-        latency = self.timer.total - accumulated
-        drift_report: DriftReport | None = None
-        if scores.size:
-            self._record_fusion_diagnostics()
-            if self.drift_monitor is not None:
-                with trace_span(
-                    "drift_check",
-                    metrics=self.telemetry,
-                    tracer=self.tracer,
-                    rows=int(scores.size),
-                    batch_index=batch_index,
-                    context=ctx,
-                ):
-                    drift_report = self.drift_monitor.update(scores, X)
-        return _ScoredBatch(
-            index=batch_index,
-            X=X,
-            scores=scores,
-            predictions=predictions,
-            threshold=threshold,
-            drift=drift_report,
-            latency_s=latency,
-            model_epoch=model_epoch,
-            quarantined=quarantined,
-            quarantine_reason=quarantine_reason,
-            shadow_scores=shadow_scores,
-        )
+                        drift_report = self.drift_monitor.update(scores, X)
 
-    def _finish_batch(self, scored: _ScoredBatch) -> BatchResult:
-        """The per-batch tail, run in stream order.
-
-        Quarantine announcement, alerts, the lifecycle's refit window, the
-        drift reaction, the shadow trial, counters, the periodic metrics
-        event and the heartbeat/profiler hooks.  The batch and sample
-        indices come from this service's counters.
-        """
-        batch_index = self.n_batches_
-        offset = self.n_samples_
-        scores, threshold, drift_report = scored.scores, scored.threshold, scored.drift
-        if scored.quarantined:
-            self.n_quarantined_ += len(scored.quarantined)
-            self._m_quarantined.inc(len(scored.quarantined))
-            self._emit(
-                QuarantinedRows(
-                    batch_index=batch_index,
-                    row_indices=scored.quarantined,
-                    reason=scored.quarantine_reason,
+            if quarantined:
+                self.n_quarantined_ += len(quarantined)
+                self._m_quarantined.inc(len(quarantined))
+                self._emit(
+                    QuarantinedRows(
+                        batch_index=batch_index,
+                        row_indices=quarantined,
+                        reason=quarantine_reason,
+                    )
                 )
+            alerts = tuple(
+                Alert(
+                    batch_index=batch_index,
+                    sample_index=offset + int(i),
+                    score=float(scores[i]),
+                    threshold=threshold,
+                )
+                for i in np.flatnonzero(predictions)
             )
-        alerts = tuple(
-            Alert(
-                batch_index=batch_index,
-                sample_index=offset + int(i),
-                score=float(scores[i]),
-                threshold=threshold,
-            )
-            for i in np.flatnonzero(scored.predictions)
-        )
-        for alert in alerts:
-            self._emit(alert)
-        # Clean rows feed the refit window *before* any drift reaction: the
-        # batch that fired the monitor is skipped by observe_batch, so the
-        # acute transition never enters the window.
-        if self.lifecycle is not None and scores.size:
-            self.lifecycle.observe_batch(scored.X, scores, threshold, drift_report)
-        if drift_report is not None and drift_report.drifted:
-            self.n_drift_events_ += 1
-            self._m_drift.inc()
-            self.drift_batches_.append(batch_index)
-            self._emit(DriftEvent(batch_index=batch_index, report=drift_report))
-            if self.lifecycle is not None:
-                self.lifecycle.handle_drift(self, drift_report)
-            elif self.on_drift is not None:
-                self.on_drift(self, drift_report)
-        # After the drift reaction (a pending trial makes handle_drift skip),
-        # feed the shadow trial; a completed trial swaps (shadow_pass) or
-        # discards the candidate (shadow_reject) — only then does epoch_ move.
-        if scored.shadow_scores is not None:
-            self.lifecycle.handle_shadow(
-                self, scores, threshold, scored.shadow_scores
-            )
+            for alert in alerts:
+                self._emit(alert)
+            # Clean rows feed the refit window *before* any drift reaction:
+            # the batch that fired the monitor is skipped by observe_batch, so
+            # the acute transition never enters the window.
+            if self.lifecycle is not None and scores.size:
+                self.lifecycle.observe_batch(X, scores, threshold, drift_report)
+            if drift_report is not None and drift_report.drifted:
+                self.n_drift_events_ += 1
+                self._m_drift.inc()
+                self.drift_batches_.append(batch_index)
+                self._emit(DriftEvent(batch_index=batch_index, report=drift_report))
+                if self.lifecycle is not None:
+                    self.lifecycle.handle_drift(self, drift_report)
+                elif self.on_drift is not None:
+                    self.on_drift(self, drift_report)
+            # After the drift reaction (a pending trial makes handle_drift
+            # skip), feed the shadow trial; a completed trial swaps
+            # (shadow_pass) or discards the candidate (shadow_reject) — only
+            # then does epoch_ move.
+            if shadow_scores is not None:
+                self.lifecycle.handle_shadow(self, scores, threshold, shadow_scores)
 
-        n_rows = int(scores.shape[0])
-        self.n_batches_ += 1
-        self.n_samples_ += n_rows
-        self.n_alerts_ += len(alerts)
-        self._m_batches.inc()
-        self._m_rows.inc(n_rows)
-        self._m_alerts.inc(len(alerts))
-        self._m_batch_seconds.observe(scored.latency_s)
-        self._m_batch_rows.observe(float(n_rows))
-        if self.metrics_every and self.n_batches_ % self.metrics_every == 0:
-            self._emit(
-                MetricsEvent(batch_index=batch_index, snapshot=self.metrics_snapshot())
+            n_rows = int(scores.shape[0])
+            self.n_batches_ += 1
+            self.n_samples_ += n_rows
+            self.n_alerts_ += len(alerts)
+            self._m_batches.inc()
+            self._m_rows.inc(n_rows)
+            self._m_alerts.inc(len(alerts))
+            self._m_batch_seconds.observe(latency)
+            self._m_batch_rows.observe(float(n_rows))
+            if self.metrics_every and self.n_batches_ % self.metrics_every == 0:
+                self._emit(
+                    MetricsEvent(batch_index=batch_index, snapshot=self.metrics_snapshot())
+                )
+            if self.heartbeat is not None:
+                self.heartbeat.beat()
+            if self.profiler is not None:
+                self.profiler.sample("batch")
+            return BatchResult(
+                index=batch_index,
+                scores=scores,
+                predictions=predictions,
+                threshold=threshold,
+                alerts=alerts,
+                drift=drift_report,
+                latency_s=latency,
+                model_epoch=model_epoch,
+                quarantined=quarantined,
+                quarantine_reason=quarantine_reason,
             )
-        if self.heartbeat is not None:
-            self.heartbeat.beat()
-        if self.profiler is not None:
-            self.profiler.sample("batch")
-        return BatchResult(
-            index=batch_index,
-            scores=scores,
-            predictions=scored.predictions,
-            threshold=threshold,
-            alerts=alerts,
-            drift=drift_report,
-            latency_s=scored.latency_s,
-            model_epoch=scored.model_epoch,
-            quarantined=scored.quarantined,
-            quarantine_reason=scored.quarantine_reason,
-        )
 
     # -- stream consumption ------------------------------------------------------
     @staticmethod
@@ -780,23 +749,19 @@ class DetectionService:
                     sink.close()
         return self.report()
 
-    def _record_fusion_diagnostics(self) -> None:
-        """Publish the served detector's per-member fusion diagnostics.
+    def _record_fusion_diagnostics(self, diagnostics: dict) -> None:
+        """Publish the served batch's per-member fusion diagnostics.
 
-        :class:`~repro.serve.fusion.FusionDetector` records per-batch member
-        weights, conflict mass and failed-member state on itself after every
-        ``score_samples`` call; any detector exposing the same attributes is
-        picked up.  Gauges hold the *latest* batch's values (NaN-sanitized —
-        a failed member's weight is reported as 0 so snapshots stay strict
-        JSON); plain detectors record nothing.
+        ``diagnostics`` is what the score stage got back with the scores
+        (:meth:`~repro.serve.fusion.FusionDetector.score_samples_with_diagnostics`).
+        Gauges hold the *latest* batch's values (NaN-sanitized — a failed
+        member's weight is reported as 0 so snapshots stay strict JSON).
         """
-        weights = getattr(self.detector, "member_weights_", None)
-        if weights is None:
-            return
         telemetry = self.telemetry
-        failed = getattr(self.detector, "member_failed_", ()) or ()
-        failed_indices = {entry.get("index") for entry in failed}
-        for i, weight in enumerate(weights):
+        failed_indices = {
+            entry.get("index") for entry in diagnostics.get("member_failed", ())
+        }
+        for i, weight in enumerate(diagnostics.get("member_weights", ())):
             weight = float(weight)
             telemetry.gauge(f"fusion.member_weight.{i}", unit="weight").set(
                 weight if np.isfinite(weight) else 0.0
@@ -804,7 +769,7 @@ class DetectionService:
             telemetry.gauge(f"fusion.member_failed.{i}", unit="flag").set(
                 1.0 if i in failed_indices else 0.0
             )
-        conflict = getattr(self.detector, "conflict_mass_", None)
+        conflict = diagnostics.get("conflict_mass")
         if conflict is not None:
             conflict = float(conflict)
             telemetry.gauge("fusion.conflict_mass", unit="mass").set(

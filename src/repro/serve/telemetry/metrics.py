@@ -340,8 +340,8 @@ def deterministic_view(snapshot: Mapping[str, Any]) -> dict:
     Keeps every counter whose unit is not ``"seconds"``, every non-seconds
     histogram in full, and only the *count* of seconds histograms (how many
     latencies were observed is deterministic; their values are not).  Gauges
-    are dropped: a gauge holds "the last batch's value", which a detector
-    scoring ahead on a worker thread may have overwritten already.
+    are dropped: a gauge holds only the last value set, and the memory
+    gauges (``mem.*``) are measurements.
     """
     counters = {
         name: entry

@@ -39,6 +39,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.verdicts import (
+    check_line_md,
+    make_check,
+    rollup_verdict,
+    round_floats,
+    section_heading_md,
+)
+
 __all__ = [
     "build_report",
     "build_run_summary",
@@ -79,17 +87,6 @@ _SHA256_HEX_LEN = 64
 
 def _now_utc() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _round(value: Any) -> Any:
-    """Round floats (recursively) so evidence blobs stay readable."""
-    if isinstance(value, float):
-        return round(value, 6)
-    if isinstance(value, dict):
-        return {k: _round(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round(v) for v in value]
-    return value
 
 
 def config_sha256(config: Mapping[str, Any]) -> str:
@@ -143,32 +140,6 @@ def build_run_summary(
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
-
-
-def _check(
-    check_id: str,
-    title: str,
-    met: bool,
-    *,
-    severity: str = "major",
-    evidence: Mapping[str, Any] | None = None,
-) -> dict:
-    return {
-        "id": check_id,
-        "title": title,
-        "verdict": "MET" if met else "NOT_MET",
-        "severity": severity,
-        "evidence": _round(dict(evidence or {})),
-    }
-
-
-def _section_verdict(checks: Sequence[Mapping[str, Any]]) -> str:
-    failed = [c for c in checks if c["verdict"] != "MET"]
-    if any(c["severity"] == "major" for c in failed):
-        return "NOT_MET"
-    if failed:
-        return "PARTIALLY_MET"
-    return "MET"
 
 
 def _baseline_rate(baseline: Mapping[str, Any] | None, entry: str) -> float | None:
@@ -276,7 +247,7 @@ def _trace_section(
         for stage, agg in aggregate.items()
     }
     checks = [
-        _check(
+        make_check(
             "TR-01",
             "Trace file parsed into a span tree",
             bool(trace) and bool(roots),
@@ -287,7 +258,7 @@ def _trace_section(
     if budgets:
         verdicts = check_budgets(aggregate, budgets, metric=budget_metric)
         checks.append(
-            _check(
+            make_check(
                 "TR-02",
                 f"Per-stage trace latency budgets met ({budget_metric})",
                 all(v["status"] == "MET" for v in verdicts),
@@ -298,8 +269,8 @@ def _trace_section(
         "title": "Trace",
         "checks": checks,
         "data": {
-            "stages": _round(stages),
-            "critical_path": _round(
+            "stages": round_floats(stages),
+            "critical_path": round_floats(
                 {"total_ms": worst_ms, "path": worst_path}
             ),
         },
@@ -344,7 +315,7 @@ def build_report(
 
     # -- 1. throughput ---------------------------------------------------------
     throughput_checks = [
-        _check(
+        make_check(
             "THR-01",
             "Stream completed with scored batches",
             n_batches > 0 and n_samples > 0,
@@ -356,13 +327,13 @@ def build_report(
         )
     ]
     throughput_data: dict[str, Any] = {
-        "throughput_samples_per_sec": _round(throughput)
+        "throughput_samples_per_sec": round_floats(throughput)
     }
     base_rate = _baseline_rate(baseline, baseline_entry)
     if base_rate is not None:
         floor = min_throughput_fraction * base_rate
         throughput_checks.append(
-            _check(
+            make_check(
                 "THR-02",
                 f"Throughput within {min_throughput_fraction:.0%} of committed "
                 f"baseline `{baseline_entry}`",
@@ -386,13 +357,13 @@ def build_report(
     p99 = float(summary.get("batch_latency_p99_s", 0.0))
     stages = _stage_table(metrics)
     latency_checks = [
-        _check(
+        make_check(
             "LAT-01",
             "Batch latency percentiles measured",
             n_batches == 0 or p50 > 0.0,
             evidence={"p50_s": p50, "p95_s": p95, "p99_s": p99},
         ),
-        _check(
+        make_check(
             "LAT-02",
             "Per-stage spans recorded in metrics snapshot",
             any(entry["count"] > 0 for entry in stages.values()),
@@ -418,13 +389,13 @@ def build_report(
     seen_rows = n_samples + n_quarantined
     quarantined_fraction = n_quarantined / seen_rows if seen_rows else 0.0
     timeline_checks = [
-        _check(
+        make_check(
             "TL-01",
             "No alert sink was disabled",
             n_disabled == 0,
             evidence={"n_disabled_sinks": n_disabled},
         ),
-        _check(
+        make_check(
             "TL-03",
             f"Quarantined rows below {max_quarantined_fraction:.0%} of traffic",
             quarantined_fraction <= max_quarantined_fraction,
@@ -437,7 +408,7 @@ def build_report(
     ]
     timeline_data: dict[str, Any] = {
         "event_counts": dict(sorted(event_counts.items())),
-        "entries": _round(timeline),
+        "entries": round_floats(timeline),
     }
     if truncated:
         timeline_data["truncated"] = truncated
@@ -455,7 +426,7 @@ def build_report(
     swaps = [e for e in lineage if e.get("swapped")]
     unversioned_swaps = [e for e in swaps if not e.get("published_version")]
     lifecycle_checks = [
-        _check(
+        make_check(
             "LC-01",
             "Every shadow trial resolved (pass or reject)",
             n_started == n_resolved,
@@ -465,7 +436,7 @@ def build_report(
                 "shadow_reject": actions.get("shadow_reject", 0),
             },
         ),
-        _check(
+        make_check(
             "LC-02",
             "Every swap carries a published registry version",
             not unversioned_swaps,
@@ -488,13 +459,13 @@ def build_report(
     }
     stream_info = dict(info.get("stream") or {})
     repro_checks = [
-        _check(
+        make_check(
             "RP-01",
             "Config SHA-256 recorded",
             _is_sha256(info.get("config_sha256")),
             evidence={"config_sha256": info.get("config_sha256")},
         ),
-        _check(
+        make_check(
             "RP-02",
             "Model artifact SHA-256s recorded",
             bool(artifact_hashes)
@@ -505,7 +476,7 @@ def build_report(
                 "artifacts": artifact_hashes,
             },
         ),
-        _check(
+        make_check(
             "RP-03",
             "Stream source recorded",
             bool(stream_info),
@@ -516,7 +487,7 @@ def build_report(
 
     sections = [
         {"title": "Throughput", "checks": throughput_checks, "data": throughput_data},
-        {"title": "Latency", "checks": latency_checks, "data": {"stages": _round(stages)}},
+        {"title": "Latency", "checks": latency_checks, "data": {"stages": round_floats(stages)}},
         {"title": "Timeline", "checks": timeline_checks, "data": timeline_data},
         {"title": "Lifecycle & shadow", "checks": lifecycle_checks, "data": lifecycle_data},
         {"title": "Reproducibility", "checks": repro_checks, "data": {}},
@@ -525,15 +496,15 @@ def build_report(
         sections.insert(2, _trace_section(trace, trace_budgets, trace_budget_metric))
     for index, section in enumerate(sections, start=1):
         section["index"] = index
-        section["verdict"] = _section_verdict(section["checks"])
+        section["verdict"] = rollup_verdict(section["checks"])
     all_checks = [c for section in sections for c in section["checks"]]
 
     return {
         "format_version": FORMAT_VERSION,
         "title": title,
         "generated_at": generated_at if generated_at is not None else _now_utc(),
-        "overall": _section_verdict(all_checks),
-        "run": _round(
+        "overall": rollup_verdict(all_checks),
+        "run": round_floats(
             {
                 "n_batches": n_batches,
                 "n_samples": n_samples,
@@ -575,16 +546,10 @@ def render_markdown(report: Mapping[str, Any]) -> str:
     ]
     for section in report.get("sections", []):
         lines.append("")
-        lines.append(
-            f"### {section.get('index', '?')}. {section.get('title', '?')}"
-            f" — **{section.get('verdict', 'NOT_MET')}**"
-        )
+        lines.append(section_heading_md(section))
         lines.append("")
         for check in section.get("checks", []):
-            lines.append(
-                f"- `{check['id']}` **{check['verdict']}**"
-                f" ({check['severity']}) — {check['title']}"
-            )
+            lines.append(check_line_md(check))
             if check.get("evidence"):
                 lines.append(f"  - evidence: `{_evidence_line(check['evidence'])}`")
         data = section.get("data", {})

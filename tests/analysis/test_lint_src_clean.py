@@ -1,8 +1,8 @@
 """Tier-1 gate: the shipped tree stays clean under the full reprolint rule set.
 
 This is the enforcement half of ``repro.analysis``: any new violation of the
-serving-stack contracts (RL001–RL012) in ``src/`` or ``benchmarks/`` fails the
-default test pass.  Deliberate, documented exceptions live in the committed
+serving-stack contracts (the ten rules) in ``src/`` or ``benchmarks/`` fails
+the default test pass.  Deliberate, documented exceptions live in the committed
 baseline at the repo root; the baseline itself is kept small and justified.
 """
 

@@ -1,11 +1,11 @@
-"""Cross-module behaviour of the v2 semantic rules (RL010/RL011/RL012).
+"""Cross-module behaviour of the lint gate and the semantic rules.
 
 The fixture twins pin each rule's single-module shape; these tests pin what
-only a multi-module context can show: taint crossing an import boundary
-(RL012), producers and consumers living in different files (RL010), README
-fenced blocks checked against the real flag universe with the home-module
-degradation gate (RL011), and the seed exclusions (inline suppression,
-baseline) that keep grandfathered nondeterminism from cascading.
+only a multi-module context can show: a nondeterministic helper called from
+a serve module two files away still fails the gate (through RL001 at the
+helper), producers and consumers living in different files (RL010), and
+README fenced blocks checked against the real flag universe with the
+home-module degradation gate (RL011).
 """
 
 from __future__ import annotations
@@ -46,33 +46,20 @@ def run_rules(modules, rule_ids, docs=(), baseline=None):
     return result.findings
 
 
-class TestRL012CrossModule:
-    def test_taint_crosses_the_import_boundary(self):
-        findings = run_rules(
-            [parse_module(HELPER, HELPER_PATH), parse_module(SCORING, SCORING_PATH)],
-            ["RL012"],
+class TestDeterminismGateAcrossModules:
+    def test_full_rule_set_fails_on_the_buried_seed(self):
+        """A serve path reaching a wall-clock read in another module fails
+        the gate through RL001 at the read itself."""
+        context = LintContext(
+            modules=[parse_module(HELPER, HELPER_PATH), parse_module(SCORING, SCORING_PATH)]
         )
-        assert len(findings) == 1
-        finding = findings[0]
-        assert finding.rule == "RL012"
-        assert finding.path == SCORING_PATH
-        assert finding.context == "score_batch"
-        assert "time.time" in finding.message
-        assert f"{HELPER_PATH}:7" in finding.message
-        assert SCORING.splitlines()[finding.line - 1].strip() == "base = jitter()"
+        result = lint_parsed(context)
+        assert result.exit_code == 1
+        assert [(f.rule, f.location()) for f in result.new] == [
+            ("RL001", f"{HELPER_PATH}:7:11")
+        ]
 
-    def test_suppressed_seed_does_not_cascade(self):
-        silenced = HELPER.replace(
-            "return time.time() % 1.0",
-            "return time.time() % 1.0  # reprolint: disable=RL001",
-        )
-        findings = run_rules(
-            [parse_module(silenced, HELPER_PATH), parse_module(SCORING, SCORING_PATH)],
-            ["RL012"],
-        )
-        assert findings == []
-
-    def test_baselined_seed_does_not_cascade(self):
+    def test_baselined_seed_passes_the_gate(self):
         baseline = Baseline(
             [
                 BaselineEntry(
@@ -84,23 +71,10 @@ class TestRL012CrossModule:
                 )
             ]
         )
-        findings = run_rules(
-            [parse_module(HELPER, HELPER_PATH), parse_module(SCORING, SCORING_PATH)],
-            ["RL012"],
-            baseline=baseline,
+        context = LintContext(
+            modules=[parse_module(HELPER, HELPER_PATH), parse_module(SCORING, SCORING_PATH)]
         )
-        assert findings == []
-
-    def test_telemetry_callers_are_allowlisted(self):
-        telemetry = SCORING.replace("fixture_scoring", "fixture_probe")
-        findings = run_rules(
-            [
-                parse_module(HELPER, HELPER_PATH),
-                parse_module(telemetry, "src/repro/serve/telemetry/fixture_probe.py"),
-            ],
-            ["RL012"],
-        )
-        assert findings == []
+        assert lint_parsed(context, baseline=baseline).exit_code == 0
 
 
 PRODUCER_PATH = "src/repro/serve/fixture_events.py"

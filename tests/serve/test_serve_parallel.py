@@ -18,9 +18,10 @@ import pytest
 from repro.datasets.registry import load_dataset
 from repro.datasets.streaming import FlowStream, inject_drift
 from repro.ml import native
-from repro.novelty import IsolationForest
+from repro.novelty import HBOS, IsolationForest, MahalanobisDetector
 from repro.serve import FullRefit, LifecycleManager, ShadowEvaluator, WindowBuffer
 from repro.serve.drift import DriftMonitor
+from repro.serve.fusion import FusionDetector
 from repro.serve.parallel import ShardedDetectionService
 from repro.serve.service import Alert, DetectionService, DriftEvent
 from repro.serve.sinks import ListSink
@@ -202,6 +203,57 @@ class TestWholePipelineEquivalence:
         for field in ("n_batches", "n_samples", "n_alerts", "n_drift_events",
                       "drift_batches", "n_quarantined"):
             assert getattr(shard["report"], field) == getattr(seq["report"], field)
+
+
+class TestFusionGauges:
+    """The ``fusion.*`` gauges describe the batch just served, not whichever
+    batch a worker scored last on the shared detector."""
+
+    @pytest.fixture(scope="class")
+    def fusion_stream(self, stream_setup):
+        dataset, normal, _ = stream_setup
+        fusion = FusionDetector(
+            [
+                IsolationForest(n_estimators=10, random_state=0),
+                HBOS(n_bins=10),
+                MahalanobisDetector(),
+            ],
+            combine="pcr",
+        ).fit(normal)
+        batches = [X for X, _ in FlowStream(dataset, batch_size=79, random_state=0)]
+        return fusion, batches
+
+    @staticmethod
+    def _gauges_after_each_batch(service, batches):
+        gauges = []
+        for _ in service.process(batches):
+            snapshot = service.metrics_snapshot()["gauges"]
+            gauges.append({k: v for k, v in snapshot.items() if k.startswith("fusion.")})
+        return gauges
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_fusion_gauges_equal_sequential_after_every_batch(
+        self, fusion_stream, n_workers
+    ):
+        fusion, batches = fusion_stream
+        # Micro-batches of 32 rows: the gauges hold the batch's last chunk.
+        seq = self._gauges_after_each_batch(
+            DetectionService(fusion, threshold="auto", micro_batch_size=32), batches
+        )
+        shard = self._gauges_after_each_batch(
+            ShardedDetectionService(
+                fusion, n_workers=n_workers, threshold="auto", micro_batch_size=32
+            ),
+            batches,
+        )
+        assert len(seq) == len(batches) == 24
+        assert all(
+            set(g) == {"fusion.conflict_mass"}
+            | {f"fusion.member_{kind}.{i}" for kind in ("weight", "failed") for i in range(3)}
+            for g in seq
+        )
+        assert len({g["fusion.conflict_mass"]["value"] for g in seq}) > 1
+        assert shard == seq
 
 
 class TestShardedEquivalence:

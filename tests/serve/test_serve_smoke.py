@@ -99,6 +99,28 @@ def test_cli_serve_smoke(tmp_path):
     assert (tmp_path / "events.jsonl").is_file()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--micro-batch-size", "0"],
+        ["--batch-size", "0"],
+        ["--refit", "full", "--refit-window", "0"],
+        ["--threshold", "rolling", "--rolling-quantile", "1.5"],
+        ["--threshold", "abc"],
+        ["--workers", "0"],
+    ],
+    ids=lambda flags: flags[-2],
+)
+def test_cli_serve_rejects_bad_flags_before_the_fit(flags, monkeypatch):
+    import repro.serve.cli as serve_cli
+
+    loads = []
+    monkeypatch.setattr(serve_cli, "load_dataset", lambda *a, **k: loads.append(a))
+    with pytest.raises(SystemExit, match=flags[-2]):
+        serve_cli.main(["serve", *flags])
+    assert loads == []  # neither the dataset load nor the fit ran
+
+
 def test_cli_registry_smoke(tmp_path, tiny_dataset):
     registry_dir = tmp_path / "registry"
     detector = IsolationForest(n_estimators=5, random_state=0).fit(

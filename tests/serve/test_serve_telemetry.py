@@ -303,7 +303,7 @@ class TestServiceTelemetry:
         for i in range(3):
             assert gauges[f"fusion.member_failed.{i}"]["value"] == 0.0
         assert gauges["fusion.conflict_mass"]["value"] >= 0.0
-        # The attributes the gauges read from are populated on the detector.
+        # The detector still records the last scored batch on its attributes.
         assert len(fusion.member_weights_) == 3
         assert math.isfinite(fusion.conflict_mass_)
 
