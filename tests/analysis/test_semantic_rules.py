@@ -76,6 +76,32 @@ class TestDeterminismGateAcrossModules:
         )
         assert lint_parsed(context, baseline=baseline).exit_code == 0
 
+    def test_suppressed_seed_passes_the_gate(self):
+        silenced = HELPER.replace(
+            "return time.time() % 1.0",
+            "return time.time() % 1.0  # reprolint: disable=RL001",
+        )
+        context = LintContext(
+            modules=[parse_module(silenced, HELPER_PATH), parse_module(SCORING, SCORING_PATH)]
+        )
+        result = lint_parsed(context)
+        assert result.exit_code == 0
+        assert result.new == []
+
+    def test_telemetry_seed_passes_the_gate(self):
+        """A serve path calling a wall-clock read that lives in the telemetry
+        package (timestamps are its job) passes the gate."""
+        probe_path = "src/repro/serve/telemetry/fixture_probe.py"
+        scoring = SCORING.replace(
+            "repro.utils.fixture_helper", "repro.serve.telemetry.fixture_probe"
+        )
+        context = LintContext(
+            modules=[parse_module(HELPER, probe_path), parse_module(scoring, SCORING_PATH)]
+        )
+        result = lint_parsed(context)
+        assert result.exit_code == 0
+        assert result.new == []
+
 
 PRODUCER_PATH = "src/repro/serve/fixture_events.py"
 CONSUMER_PATH = "src/repro/serve/fixture_reader.py"

@@ -63,6 +63,26 @@ class TestContract:
         with pytest.raises(ValueError, match="features"):
             fusion.member_scores(np.empty((0, 7)))  # empty but still wrong
 
+    @pytest.mark.parametrize("combine", ["mean", "max", "pcr"])
+    def test_diagnostics_describe_their_own_call(self, data, combine):
+        X_train, X_normal, X_anomalous = data
+        fusion = FusionDetector(_members(), combine=combine).fit(X_train)
+        scores, first = fusion.score_samples_with_diagnostics(X_normal)
+        np.testing.assert_array_equal(scores, fusion.score_samples(X_normal))
+        assert set(first) == {"member_failed", "member_weights", "conflict_mass"}
+        assert first["member_failed"] == ()
+        assert len(first["member_weights"]) == 3
+        _, second = fusion.score_samples_with_diagnostics(X_anomalous)
+        # The attributes follow the last call; each returned dict keeps its own.
+        assert fusion.conflict_mass_ == second["conflict_mass"]
+        assert fusion.member_weights_ == second["member_weights"]
+        assert first["conflict_mass"] != second["conflict_mass"]
+        _, again = fusion.score_samples_with_diagnostics(X_normal)
+        assert again == first
+        empty_scores, empty = fusion.score_samples_with_diagnostics(np.empty((0, 5)))
+        assert empty_scores.shape == (0,)
+        assert empty == {"member_failed": ()}
+
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
             FusionDetector([MahalanobisDetector()])
